@@ -1,4 +1,4 @@
-//! Flat struct-of-arrays circuits with interval-first evaluation.
+//! Flat struct-of-arrays circuits and the one forward gate kernel.
 //!
 //! The pointer-y [`Node`] tree of [`crate::circuit`] is the *compilation*
 //! representation: easy to grow, memoize, and extract. It is a poor
@@ -16,24 +16,26 @@
 //!   `(off, len)` spans into one packed `children` vector: no per-gate
 //!   allocation anywhere;
 //! * **a distinct-variable slot table** — weights are resolved *once per
-//!   distinct variable* into a dense slice ([`FlatCircuit::resolve_weights`]),
-//!   and the per-gate loop just indexes it;
-//! * **interval-first evaluation** — [`FlatCircuit::eval_interval_with`]
-//!   prices every gate in certified outward-rounded `f64`
-//!   ([`Interval`]) at a few nanoseconds per gate; callers that only need
-//!   a comparison consult the certified verdict ([`Certifies`]) and fall
-//!   back to the exact pass ([`FlatCircuit::eval_exact_with`], or the
-//!   per-gate [`FlatCircuit::eval_exact_at`] with its sparse overlay)
-//!   only when the enclosure cannot decide. Whenever an output
-//!   `Rational` (not just a comparison) is demanded, the exact pass runs
-//!   in full — results stay bit-identical to the tree evaluator.
+//!   distinct variable* into a dense slice, and the per-gate step just
+//!   indexes it;
+//! * **one kernel, two lanes** — gates are priced in exactly one place:
+//!   a per-gate step generic over the lane type, driven by one
+//!   gate-major forward pass that prices `k` weightings per walk of
+//!   `ops`. The hybrid exact lane (machine words until an op overflows,
+//!   then bignum) answers every `Rational`; the interval lane
+//!   ([`Interval`], certified outward-rounded `f64`) answers comparisons
+//!   ([`FlatCircuit::le_exact`]) and reruns the exact lane only when its
+//!   enclosure straddles the threshold. Single evaluation is the pass
+//!   with one lane, and [`crate::priced::PricedCircuit`] builds its state
+//!   with the pass and re-prices single gates with the step.
 //!
 //! Exactness contract: for every circuit and every weight function,
 //! `flat.eval_exact(w) == tree.evaluate(w) == wmc_brute_force(f, w)`
 //! (`Rational` equality, i.e. bit identity in lowest terms) — enforced by
-//! `tests/flat_suite.rs` and the engine's property suites.
+//! `tests/flat_suite.rs` and the engine's property suites. The tree
+//! evaluator of [`crate::circuit`] is kept only as that reference.
 
-use crate::circuit::{Circuit, Compiler, EvalArena, Node, Valuation};
+use crate::circuit::{Circuit, Compiler, Node, Valuation};
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
 use gfomc_arith::{Certifies, Interval, Rat64, Rational};
@@ -43,13 +45,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Cap on `gates × lanes` hybrid cells held live by one batch-kernel
-/// call; batches wider than `MAX_BATCH_CELLS / gate_count` lanes are
-/// priced in consecutive chunks (exact arithmetic, so chunking cannot
-/// change any value).
+/// Cap on `gates × lanes` cells held live by one forward pass; batches
+/// wider than `MAX_BATCH_CELLS / gate_count` lanes are priced in
+/// consecutive chunks (exact arithmetic, so chunking cannot change any
+/// value).
 const MAX_BATCH_CELLS: usize = 1 << 18;
 
-/// One gate value of the hybrid exact pass: machine words while every
+/// One gate value of the hybrid exact lane: machine words while every
 /// intermediate fits ([`Rat64`]), exact bignum from the first overflow on.
 /// Both forms are in lowest terms, so materializing a lane via
 /// [`LaneVal::to_rational`] is bit-identical to an all-bignum evaluation.
@@ -63,7 +65,7 @@ pub(crate) enum LaneVal {
 
 impl LaneVal {
     #[inline]
-    pub(crate) fn is_zero(&self) -> bool {
+    fn is_zero(&self) -> bool {
         match self {
             LaneVal::S(r) => r.is_zero(),
             LaneVal::B(r) => r.is_zero(),
@@ -87,8 +89,8 @@ impl LaneVal {
 pub(crate) struct SlotW {
     pub(crate) p: Rational,
     pub(crate) pc: Rational,
-    pub(crate) ps: Option<Rat64>,
-    pub(crate) pcs: Option<Rat64>,
+    ps: Option<Rat64>,
+    pcs: Option<Rat64>,
 }
 
 impl SlotW {
@@ -101,45 +103,147 @@ impl SlotW {
             pc,
         }
     }
+}
 
-    /// The leaf value `w(v)` as a lane.
+/// A lane of the forward pass: the value one gate holds under one
+/// weighting, and the arithmetic of the five gate kinds on it.
+pub(crate) trait Lane: Clone {
+    /// A distinct variable's weight, as this lane reads it.
+    type Weight;
+    /// The constant `0`.
+    const ZERO: Self;
+    /// The constant `1`.
+    const ONE: Self;
+    /// Resolves one exact probability.
+    fn weight(p: Rational) -> Self::Weight;
+    /// The leaf value `w(v)`.
+    fn leaf(w: &Self::Weight) -> Self;
+    /// `self · kid` for one child of a product gate.
+    fn times(&self, kid: &Self) -> Self;
+    /// Whether a product at this value can stop multiplying: the value
+    /// is final whatever the remaining children are.
+    fn absorbs(&self) -> bool;
+    /// The Shannon gate `w·hi + (1 − w)·lo`.
+    fn decision(w: &Self::Weight, hi: &Self, lo: &Self) -> Self;
+    /// This lane's slabs of an arena: slot weights and gate values.
+    fn slabs(arena: &mut EvalArena) -> (&mut Vec<Self::Weight>, &mut Vec<Self>);
+}
+
+/// The exact lane. Products stop multiplying once they reach zero; the
+/// result is the same zero either way, and the short cut skips the rest
+/// of the children.
+impl Lane for LaneVal {
+    type Weight = SlotW;
+    const ZERO: Self = LaneVal::S(Rat64::ZERO);
+    const ONE: Self = LaneVal::S(Rat64::ONE);
+
+    fn weight(p: Rational) -> SlotW {
+        SlotW::new(p)
+    }
+
     #[inline]
-    pub(crate) fn leaf(&self) -> LaneVal {
-        match self.ps {
+    fn leaf(w: &SlotW) -> LaneVal {
+        match w.ps {
             Some(r) => LaneVal::S(r),
-            None => LaneVal::B(self.p.clone()),
+            None => LaneVal::B(w.p.clone()),
         }
     }
-}
 
-/// `a · b` on hybrid lanes: machine words unless an operand already
-/// spilled or the product overflows.
-#[inline]
-pub(crate) fn mul_lane(a: &LaneVal, b: &LaneVal) -> LaneVal {
-    match (a, b) {
-        (LaneVal::S(x), LaneVal::S(y)) => match x.checked_mul(*y) {
-            Some(r) => LaneVal::S(r),
-            None => LaneVal::B(&Rational::from(*x) * &Rational::from(*y)),
-        },
-        (a, b) => LaneVal::B(&a.to_rational() * &b.to_rational()),
+    #[inline]
+    fn times(&self, kid: &LaneVal) -> LaneVal {
+        match (self, kid) {
+            (LaneVal::S(x), LaneVal::S(y)) => match x.checked_mul(*y) {
+                Some(r) => LaneVal::S(r),
+                None => LaneVal::B(&Rational::from(*x) * &Rational::from(*y)),
+            },
+            (a, b) => LaneVal::B(&a.to_rational() * &b.to_rational()),
+        }
     }
-}
 
-/// The Shannon gate `w·hi + (1 − w)·lo` on hybrid lanes.
-#[inline]
-pub(crate) fn decision_lane(s: &SlotW, hi: &LaneVal, lo: &LaneVal) -> LaneVal {
-    if let (Some(p), Some(pc), LaneVal::S(h), LaneVal::S(l)) = (s.ps, s.pcs, hi, lo) {
-        if let Some(t1) = p.checked_mul(*h) {
-            if let Some(t2) = pc.checked_mul(*l) {
-                if let Some(r) = t1.checked_add(t2) {
-                    return LaneVal::S(r);
+    #[inline]
+    fn absorbs(&self) -> bool {
+        self.is_zero()
+    }
+
+    #[inline]
+    fn decision(s: &SlotW, hi: &LaneVal, lo: &LaneVal) -> LaneVal {
+        if let (Some(p), Some(pc), LaneVal::S(h), LaneVal::S(l)) = (s.ps, s.pcs, hi, lo) {
+            if let Some(t1) = p.checked_mul(*h) {
+                if let Some(t2) = pc.checked_mul(*l) {
+                    if let Some(r) = t1.checked_add(t2) {
+                        return LaneVal::S(r);
+                    }
                 }
             }
         }
+        let hi = hi.to_rational();
+        let lo = lo.to_rational();
+        LaneVal::B(&(&s.p * &hi) + &(&s.pc * &lo))
     }
-    let hi = hi.to_rational();
-    let lo = lo.to_rational();
-    LaneVal::B(&(&s.p * &hi) + &(&s.pc * &lo))
+
+    fn slabs(arena: &mut EvalArena) -> (&mut Vec<SlotW>, &mut Vec<LaneVal>) {
+        (&mut arena.slots, &mut arena.cells)
+    }
+}
+
+/// The interval lane. Every gate value of a monotone circuit under
+/// probability weights is itself a probability, so each operation
+/// intersects with `[0, 1]` ([`Interval::clamp_unit`]) to undo the
+/// outward nudges' drift. There is no zero short cut: a product's
+/// enclosure keeps folding in every child.
+impl Lane for Interval {
+    type Weight = Interval;
+    const ZERO: Self = Interval::ZERO;
+    const ONE: Self = Interval::ONE;
+
+    fn weight(p: Rational) -> Interval {
+        Interval::from_probability(&p)
+    }
+
+    #[inline]
+    fn leaf(w: &Interval) -> Interval {
+        *w
+    }
+
+    #[inline]
+    fn times(&self, kid: &Interval) -> Interval {
+        self.mul(kid).clamp_unit()
+    }
+
+    #[inline]
+    fn absorbs(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn decision(p: &Interval, hi: &Interval, lo: &Interval) -> Interval {
+        p.mul(hi).add(&p.one_minus().mul(lo)).clamp_unit()
+    }
+
+    fn slabs(arena: &mut EvalArena) -> (&mut Vec<Interval>, &mut Vec<Interval>) {
+        (&mut arena.slot_ivs, &mut arena.ivs)
+    }
+}
+
+/// Reusable buffers of the forward pass, one pair per lane: lane-major
+/// slot weights (`slots` / `slot_ivs`) and gate-major gate values
+/// (`cells` / `ivs`). Threading one arena through
+/// [`FlatCircuit::eval_exact_with`], [`FlatCircuit::le_exact`] or
+/// [`FlatCircuit::eval_batch_exact_with`] keeps their capacity across
+/// weightings.
+#[derive(Clone, Debug, Default)]
+pub struct EvalArena {
+    slots: Vec<SlotW>,
+    cells: Vec<LaneVal>,
+    slot_ivs: Vec<Interval>,
+    ivs: Vec<Interval>,
+}
+
+impl EvalArena {
+    /// An empty arena; it grows to the circuit size on first use.
+    pub fn new() -> Self {
+        EvalArena::default()
+    }
 }
 
 /// Process-wide count of interval-evaluation fallbacks to exact
@@ -291,324 +395,132 @@ impl FlatCircuit {
         &self.children[off..off + self.len[g] as usize]
     }
 
-    /// Resolves `w` into one exact weight per distinct variable, in slot
-    /// order — the per-weighting setup that lets the per-gate loop index a
-    /// dense slice instead of re-querying `w` at every leaf and decision.
-    pub fn resolve_weights<W: WeightFn>(&self, w: &W, out: &mut Vec<Rational>) {
+    /// Resolves each weighting of `ws` into one lane weight per distinct
+    /// variable, lane-major: lane `l`'s weights sit at
+    /// `l * vars().len()..`, in slot order.
+    fn resolve<L: Lane, W: WeightFn>(&self, ws: &[W], out: &mut Vec<L::Weight>) {
         out.clear();
-        out.reserve(self.vars.len());
-        for &v in &self.vars {
-            let p = w.weight(v);
-            assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-            out.push(p);
+        out.reserve(ws.len() * self.vars.len());
+        for w in ws {
+            for &v in &self.vars {
+                let p = w.weight(v);
+                assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
+                out.push(L::weight(p));
+            }
         }
     }
 
-    /// Resolves `w` into one [`SlotW`] per distinct variable: weight,
-    /// complement (once per variable, not once per decision gate), and
-    /// their machine-word forms.
-    pub(crate) fn resolve_slots<W: WeightFn>(&self, w: &W, out: &mut Vec<SlotW>) {
-        out.clear();
-        out.reserve(self.vars.len());
-        for &v in &self.vars {
-            let p = w.weight(v);
-            assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-            out.push(SlotW::new(p));
-        }
-    }
-
-    /// The hybrid exact forward pass: one [`LaneVal`] per gate. Values
-    /// stay in machine words ([`Rat64`]) until an op overflows, then spill
-    /// to bignum — either way exact and in lowest terms, so the pass is
-    /// bit-identical to an all-bignum evaluation.
-    pub(crate) fn eval_cells_into(&self, slots: &[SlotW], cells: &mut Vec<LaneVal>) {
-        cells.clear();
-        cells.reserve(self.ops.len());
-        for g in 0..self.ops.len() {
-            let val = match self.ops[g] {
-                Op::True => LaneVal::S(Rat64::ONE),
-                Op::False => LaneVal::S(Rat64::ZERO),
-                Op::Leaf => slots[self.var_slot[g] as usize].leaf(),
-                Op::Product => {
-                    let mut acc = LaneVal::S(Rat64::ONE);
-                    for &k in self.kids(g) {
-                        acc = mul_lane(&acc, &cells[k as usize]);
-                        if acc.is_zero() {
-                            break;
-                        }
+    /// The per-gate step: prices gate `g` in one lane, from that lane's
+    /// slot weights and the lane values of `g`'s children (`value(kid)`).
+    #[inline]
+    pub(crate) fn step<'a, L: Lane + 'a>(
+        &self,
+        g: usize,
+        weights: &[L::Weight],
+        value: impl Fn(u32) -> &'a L,
+    ) -> L {
+        match self.ops[g] {
+            Op::False => L::ZERO,
+            Op::True => L::ONE,
+            Op::Leaf => L::leaf(&weights[self.var_slot[g] as usize]),
+            Op::Product => {
+                let mut acc = L::ONE;
+                for &kid in self.kids(g) {
+                    acc = acc.times(value(kid));
+                    if acc.absorbs() {
+                        break;
                     }
-                    acc
                 }
-                Op::Decision => {
-                    let s = &slots[self.var_slot[g] as usize];
-                    let kids = self.kids(g);
-                    decision_lane(s, &cells[kids[0] as usize], &cells[kids[1] as usize])
-                }
-            };
-            cells.push(val);
+                acc
+            }
+            Op::Decision => {
+                let kids = self.kids(g);
+                let w = &weights[self.var_slot[g] as usize];
+                L::decision(w, value(kids[0]), value(kids[1]))
+            }
         }
     }
 
-    /// The exact forward pass: one value per gate into `values`. `w` must
-    /// be slot-resolved weights ([`FlatCircuit::resolve_weights`]).
-    fn eval_exact_into(&self, w: &[Rational], values: &mut Vec<Rational>) {
-        let slots: Vec<SlotW> = w.iter().map(|p| SlotW::new(p.clone())).collect();
-        let mut cells = Vec::new();
-        self.eval_cells_into(&slots, &mut cells);
-        values.clear();
-        values.reserve(cells.len());
-        values.extend(cells.iter().map(LaneVal::to_rational));
-    }
-
-    /// The interval forward pass: one certified enclosure per gate.
-    ///
-    /// Every gate value of a monotone circuit under probability weights is
-    /// itself a probability, so each step intersects with `[0, 1]`
-    /// ([`Interval::clamp_unit`]) to undo the outward nudges' drift.
-    pub(crate) fn eval_interval_into(&self, w: &[Interval], out: &mut Vec<Interval>) {
+    /// The forward pass: every gate in `k` lanes, gate-major
+    /// (`out[gate * k + lane]`). `weights` holds the lanes' slot weights
+    /// lane-major, as [`FlatCircuit::resolve`] lays them out. Children
+    /// precede parents, so one walk of `ops` / `children` prices the
+    /// whole batch and the topological scan amortizes across it.
+    pub(crate) fn forward<L: Lane>(&self, weights: &[L::Weight], k: usize, out: &mut Vec<L>) {
+        let nv = self.vars.len();
         out.clear();
-        out.reserve(self.ops.len());
+        out.reserve(self.ops.len() * k);
         for g in 0..self.ops.len() {
-            let iv = match self.ops[g] {
-                Op::True => Interval::ONE,
-                Op::False => Interval::ZERO,
-                Op::Leaf => w[self.var_slot[g] as usize],
-                Op::Product => {
-                    let mut acc = Interval::ONE;
-                    for &k in self.kids(g) {
-                        acc = acc.mul(&out[k as usize]).clamp_unit();
-                    }
-                    acc
-                }
-                Op::Decision => {
-                    let p = &w[self.var_slot[g] as usize];
-                    let kids = self.kids(g);
-                    let hi = &out[kids[0] as usize];
-                    let lo = &out[kids[1] as usize];
-                    p.mul(hi).add(&p.one_minus().mul(lo)).clamp_unit()
-                }
-            };
-            out.push(iv);
+            for l in 0..k {
+                let lane = &weights[l * nv..][..nv];
+                let cell = self.step(g, lane, |kid| &out[kid as usize * k + l]);
+                out.push(cell);
+            }
         }
+    }
+
+    /// Resolves `ws` and runs the forward pass through `L`'s arena slabs;
+    /// returns the gate-major values.
+    fn price<'a, L: Lane, W: WeightFn>(&self, ws: &[W], arena: &'a mut EvalArena) -> &'a [L] {
+        let (weights, values) = L::slabs(arena);
+        self.resolve::<L, W>(ws, weights);
+        self.forward(weights, ws.len(), values);
+        values
     }
 
     /// `Pr(F, w)` exactly, reusing the arena's slabs across weightings.
-    /// Bit-identical to [`Circuit::evaluate_with`] on the tree form; only
-    /// the root value is materialized as a [`Rational`] — interior gates
-    /// stay in the hybrid machine-word lane.
+    /// Bit-identical to [`Circuit::evaluate`] on the tree form; only the
+    /// root value is materialized as a [`Rational`] — interior gates stay
+    /// in the hybrid machine-word lane.
     pub fn eval_exact_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Rational {
-        self.resolve_slots(w, &mut arena.slots);
-        let (slots, cells) = (&arena.slots, &mut arena.cells);
-        self.eval_cells_into(slots, cells);
+        let cells = self.price::<LaneVal, W>(std::slice::from_ref(w), arena);
         cells[self.root as usize].to_rational()
     }
 
     /// `Pr(F, w)` exactly, with a throwaway arena.
     pub fn eval_exact<W: WeightFn>(&self, w: &W) -> Rational {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.eval_exact_with(w, &mut arena)
+        self.eval_exact_with(w, &mut EvalArena::new())
     }
 
-    /// A certified enclosure of `Pr(F, w)` — the fast path. Converts each
-    /// distinct weight with directed rounding, then runs the interval
-    /// forward pass (plain `Copy` doubles, no heap traffic).
-    pub fn eval_interval_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Interval {
-        self.resolve_weights(w, &mut arena.slot_weights);
-        arena.slot_intervals.clear();
-        arena
-            .slot_intervals
-            .extend(arena.slot_weights.iter().map(Interval::from_probability));
-        let (slots, intervals) = (&arena.slot_intervals, &mut arena.intervals);
-        self.eval_interval_into(slots, intervals);
-        intervals[self.root as usize]
-    }
-
-    /// A certified enclosure of `Pr(F, w)`, with a throwaway arena.
+    /// A certified enclosure of `Pr(F, w)` — the fast path: each distinct
+    /// weight is converted with directed rounding, then every gate is
+    /// priced in plain `Copy` doubles, with no heap traffic.
     pub fn eval_interval<W: WeightFn>(&self, w: &W) -> Interval {
-        let mut arena = EvalArena::new();
-        self.eval_interval_with(w, &mut arena)
+        self.price::<Interval, W>(std::slice::from_ref(w), &mut EvalArena::new())
+            [self.root as usize]
     }
 
-    /// Exact value of a single gate, re-pricing **only the gates reachable
-    /// from it** through the arena's sparse overlay.
-    ///
-    /// This is the per-gate fallback of interval-first evaluation: after a
-    /// fast interval pass, a caller that needs one undecided gate exactly
-    /// pays for that gate's cone, not the whole pool — and repeated calls
-    /// share the overlay, so common sub-cones are priced once. The overlay
-    /// is keyed to one (circuit, weighting) pair; callers switching either
-    /// must reset it via [`EvalArena::default`]-fresh slabs (the engine's
-    /// evaluate paths do this by construction, resolving weights first).
-    ///
-    /// `w` must be the slot-resolved weights from
-    /// [`FlatCircuit::resolve_weights`].
-    pub fn eval_exact_at(
-        &self,
-        gate: u32,
-        w: &[Rational],
-        overlay: &mut Vec<Option<Rational>>,
-    ) -> Rational {
-        if overlay.len() < self.ops.len() {
-            overlay.resize(self.ops.len(), None);
-        }
-        let mut stack: Vec<(u32, bool)> = vec![(gate, false)];
-        while let Some((g, expanded)) = stack.pop() {
-            let gi = g as usize;
-            if overlay[gi].is_some() {
-                continue;
-            }
-            if !expanded {
-                match self.ops[gi] {
-                    Op::True => overlay[gi] = Some(Rational::one()),
-                    Op::False => overlay[gi] = Some(Rational::zero()),
-                    Op::Leaf => {
-                        overlay[gi] = Some(w[self.var_slot[gi] as usize].clone());
-                    }
-                    Op::Product | Op::Decision => {
-                        stack.push((g, true));
-                        stack.extend(self.kids(gi).iter().map(|&k| (k, false)));
-                    }
-                }
-            } else {
-                let val = match self.ops[gi] {
-                    Op::Product => {
-                        let mut acc = Rational::one();
-                        for &k in self.kids(gi) {
-                            let kid = overlay[k as usize].as_ref().expect("child priced");
-                            acc = &acc * kid;
-                            if acc.is_zero() {
-                                break;
-                            }
-                        }
-                        acc
-                    }
-                    Op::Decision => {
-                        let p = &w[self.var_slot[gi] as usize];
-                        let kids = self.kids(gi);
-                        let hi = overlay[kids[0] as usize].as_ref().expect("child priced");
-                        let lo = overlay[kids[1] as usize].as_ref().expect("child priced");
-                        &(p * hi) + &(&p.complement() * lo)
-                    }
-                    _ => unreachable!("constants and leaves priced on first visit"),
-                };
-                overlay[gi] = Some(val);
-            }
-        }
-        overlay[gate as usize].clone().expect("root priced")
-    }
-
-    /// Certified verdict for `Pr(F, w) ≤ t` from the interval pass alone
-    /// — [`Certifies::Unknown`] when the enclosure straddles `t`.
-    pub fn proves_le<W: WeightFn>(&self, w: &W, t: &Rational, arena: &mut EvalArena) -> Certifies {
-        self.eval_interval_with(w, arena).proves_le_rational(t)
-    }
-
-    /// Definite answer for `Pr(F, w) ≤ t`: interval fast path first, exact
-    /// re-pricing of the root's cone only on [`Certifies::Unknown`].
-    /// Returns `(answer, fell_back_to_exact)`.
+    /// Definite answer for `Pr(F, w) ≤ t`: the interval lane first, the
+    /// exact lane only when the enclosure straddles `t`
+    /// ([`Certifies::Unknown`]). Returns `(answer, fell_back_to_exact)`.
     pub fn le_exact<W: WeightFn>(
         &self,
         w: &W,
         t: &Rational,
         arena: &mut EvalArena,
     ) -> (bool, bool) {
-        match self.proves_le(w, t, arena) {
+        let ivs = self.price::<Interval, W>(std::slice::from_ref(w), arena);
+        match ivs[self.root as usize].proves_le_rational(t) {
             Certifies::Proven(b) => (b, false),
             Certifies::Unknown => {
                 INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
                 INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                arena.overlay.clear();
-                let exact = self.eval_exact_at(self.root, &arena.slot_weights, &mut arena.overlay);
-                (&exact <= t, true)
+                (&self.eval_exact_with(w, arena) <= t, true)
             }
         }
     }
 
-    /// Evaluates **every** gate exactly under `w` in one forward pass —
-    /// the flat analogue of [`Compiler::evaluate_all`] for multi-rooted
-    /// pools built by [`Compiler::finish_flat`] (ids are preserved, so
-    /// `NodeId`s returned by [`Compiler::compile`] index the result).
-    pub fn evaluate_all<W: WeightFn>(&self, w: &W) -> Valuation {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.resolve_weights(w, &mut arena.slot_weights);
-        self.eval_exact_into(&arena.slot_weights, &mut arena.values);
-        Valuation {
-            values: std::mem::take(&mut arena.values),
-        }
-    }
-
-    /// Lanes per batch-kernel call: enough to amortize the topological
-    /// walk, bounded so `gates × lanes` hybrid cells stay in cache-ish
-    /// memory even for huge pools.
+    /// Lanes per forward pass: enough to amortize the topological walk,
+    /// bounded so `gates × lanes` hybrid cells stay in cache-ish memory
+    /// even for huge pools.
     fn batch_chunk_lanes(&self) -> usize {
         (MAX_BATCH_CELLS / self.gate_count().max(1)).max(1)
     }
 
-    /// The batch forward pass: fills `arena.lane_cells` with a gate-major
-    /// `values[gate][lane]` hybrid matrix — **one** walk of `ops` /
-    /// `children` prices all `ws.len()` weightings, so the topological
-    /// scan and children decoding amortize across the batch.
-    fn eval_batch_cells<W: WeightFn>(&self, ws: &[W], arena: &mut EvalArena) {
-        let k = ws.len();
-        let nslots = self.vars.len().max(1);
-        // Lane-major slot table: lane `l`'s weights at `l*nslots..`.
-        let mut slots: Vec<SlotW> = Vec::with_capacity(k * nslots);
-        for w in ws {
-            for &v in &self.vars {
-                let p = w.weight(v);
-                assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-                slots.push(SlotW::new(p));
-            }
-            if self.vars.is_empty() {
-                slots.push(SlotW::new(Rational::one()));
-            }
-        }
-        let cells = &mut arena.lane_cells;
-        cells.clear();
-        cells.resize(self.ops.len() * k, LaneVal::S(Rat64::ZERO));
-        for g in 0..self.ops.len() {
-            let row = g * k;
-            // Children precede parents, so rows before `row` are final.
-            let (done, rest) = cells.split_at_mut(row);
-            let cur = &mut rest[..k];
-            match self.ops[g] {
-                // `False` rows keep the ZERO fill.
-                Op::False => {}
-                Op::True => cur.fill(LaneVal::S(Rat64::ONE)),
-                Op::Leaf => {
-                    let slot = self.var_slot[g] as usize;
-                    for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = slots[l * nslots + slot].leaf();
-                    }
-                }
-                Op::Product => {
-                    cur.fill(LaneVal::S(Rat64::ONE));
-                    for &kid in self.kids(g) {
-                        let krow = &done[kid as usize * k..kid as usize * k + k];
-                        for (cell, kv) in cur.iter_mut().zip(krow) {
-                            if !cell.is_zero() {
-                                *cell = mul_lane(cell, kv);
-                            }
-                        }
-                    }
-                }
-                Op::Decision => {
-                    let slot = self.var_slot[g] as usize;
-                    let kids = self.kids(g);
-                    let hrow = &done[kids[0] as usize * k..kids[0] as usize * k + k];
-                    let lrow = &done[kids[1] as usize * k..kids[1] as usize * k + k];
-                    for (l, cell) in cur.iter_mut().enumerate() {
-                        *cell = decision_lane(&slots[l * nslots + slot], &hrow[l], &lrow[l]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exact root values for a whole batch of weightings in **one**
-    /// topological walk (the many-weightings-per-gate-visit kernel).
-    /// Output order matches input order; every value is bit-identical to
-    /// the serial [`FlatCircuit::eval_exact_with`] loop.
+    /// Exact root values for a whole batch of weightings, one forward
+    /// pass per lane chunk. Output order matches input order; every value
+    /// is bit-identical to the serial [`FlatCircuit::eval_exact_with`]
+    /// loop.
     pub fn eval_batch_exact_with<W: WeightFn>(
         &self,
         ws: &[W],
@@ -616,129 +528,32 @@ impl FlatCircuit {
     ) -> Vec<Rational> {
         let mut out = Vec::with_capacity(ws.len());
         for chunk in ws.chunks(self.batch_chunk_lanes()) {
-            self.eval_batch_cells(chunk, arena);
-            let row = self.root as usize * chunk.len();
-            out.extend(
-                arena.lane_cells[row..row + chunk.len()]
-                    .iter()
-                    .map(LaneVal::to_rational),
-            );
-        }
-        out
-    }
-
-    /// Certified root enclosures for a whole batch of weightings in one
-    /// topological walk — the interval-first lane of the batch kernel
-    /// (plain `Copy` doubles, no heap traffic at all).
-    pub fn eval_batch_interval_with<W: WeightFn>(
-        &self,
-        ws: &[W],
-        arena: &mut EvalArena,
-    ) -> Vec<Interval> {
-        let mut out = Vec::with_capacity(ws.len());
-        for ws in ws.chunks(self.batch_chunk_lanes()) {
-            let k = ws.len();
-            let nslots = self.vars.len().max(1);
-            let mut slots: Vec<Interval> = Vec::with_capacity(k * nslots);
-            for w in ws {
-                for &v in &self.vars {
-                    let p = w.weight(v);
-                    assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-                    slots.push(Interval::from_probability(&p));
-                }
-                if self.vars.is_empty() {
-                    slots.push(Interval::ONE);
-                }
-            }
-            let ivs = &mut arena.lane_intervals;
-            ivs.clear();
-            ivs.resize(self.ops.len() * k, Interval::ZERO);
-            for g in 0..self.ops.len() {
-                let row = g * k;
-                let (done, rest) = ivs.split_at_mut(row);
-                let cur = &mut rest[..k];
-                match self.ops[g] {
-                    Op::False => {}
-                    Op::True => cur.fill(Interval::ONE),
-                    Op::Leaf => {
-                        let slot = self.var_slot[g] as usize;
-                        for (l, iv) in cur.iter_mut().enumerate() {
-                            *iv = slots[l * nslots + slot];
-                        }
-                    }
-                    Op::Product => {
-                        cur.fill(Interval::ONE);
-                        for &kid in self.kids(g) {
-                            let krow = &done[kid as usize * k..kid as usize * k + k];
-                            for (iv, kv) in cur.iter_mut().zip(krow) {
-                                *iv = iv.mul(kv).clamp_unit();
-                            }
-                        }
-                    }
-                    Op::Decision => {
-                        let slot = self.var_slot[g] as usize;
-                        let kids = self.kids(g);
-                        let hrow = &done[kids[0] as usize * k..kids[0] as usize * k + k];
-                        let lrow = &done[kids[1] as usize * k..kids[1] as usize * k + k];
-                        for (l, iv) in cur.iter_mut().enumerate() {
-                            let p = &slots[l * nslots + slot];
-                            *iv = p
-                                .mul(&hrow[l])
-                                .add(&p.one_minus().mul(&lrow[l]))
-                                .clamp_unit();
-                        }
-                    }
-                }
-            }
+            let k = chunk.len();
+            let cells = self.price::<LaneVal, W>(chunk, arena);
             let row = self.root as usize * k;
-            out.extend_from_slice(&ivs[row..row + k]);
+            out.extend(cells[row..row + k].iter().map(LaneVal::to_rational));
         }
         out
-    }
-
-    /// Definite answers for `Pr(F, wᵢ) ≤ t` across a batch: one interval
-    /// batch pass first, then an exact re-pricing of the root's cone for
-    /// **only** the lanes whose enclosure straddles `t`. Returns
-    /// `(answer, fell_back_to_exact)` per lane, bit-identical to a serial
-    /// [`FlatCircuit::le_exact`] loop.
-    pub fn le_exact_batch<W: WeightFn>(
-        &self,
-        ws: &[W],
-        t: &Rational,
-        arena: &mut EvalArena,
-    ) -> Vec<(bool, bool)> {
-        let ivs = self.eval_batch_interval_with(ws, arena);
-        let mut scratch = Vec::new();
-        ws.iter()
-            .zip(ivs)
-            .map(|(w, iv)| match iv.proves_le_rational(t) {
-                Certifies::Proven(b) => (b, false),
-                Certifies::Unknown => {
-                    INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                    INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                    self.resolve_weights(w, &mut scratch);
-                    arena.overlay.clear();
-                    let exact = self.eval_exact_at(self.root, &scratch, &mut arena.overlay);
-                    (&exact <= t, true)
-                }
-            })
-            .collect()
     }
 
     /// Evaluates **every** gate exactly under each weighting of the batch
-    /// in one topological walk — the batched [`FlatCircuit::evaluate_all`]
-    /// behind the lifted inclusion–exclusion pool and the Type-II Möbius
-    /// cells: one multi-rooted pool, `k` weightings, every root priced.
+    /// — the pool form behind the lifted inclusion–exclusion pool and the
+    /// Type-II Möbius cells: one multi-rooted pool built by
+    /// [`Compiler::finish_flat`], `k` weightings, every root priced (ids
+    /// are preserved, so `NodeId`s returned by [`Compiler::compile`] index
+    /// each result).
     pub fn evaluate_all_batch<W: WeightFn>(&self, ws: &[W]) -> Vec<Valuation> {
         let mut out = Vec::with_capacity(ws.len());
         let mut arena = EvalArena::new();
         for chunk in ws.chunks(self.batch_chunk_lanes()) {
-            self.eval_batch_cells(chunk, &mut arena);
             let k = chunk.len();
+            let cells = self.price::<LaneVal, W>(chunk, &mut arena);
             for l in 0..k {
                 out.push(Valuation {
-                    values: (0..self.ops.len())
-                        .map(|g| arena.lane_cells[g * k + l].to_rational())
+                    values: cells[l..]
+                        .iter()
+                        .step_by(k)
+                        .map(LaneVal::to_rational)
                         .collect(),
                 });
             }
@@ -746,19 +561,16 @@ impl FlatCircuit {
         out
     }
 
-    /// Exact batch evaluation through the batch kernel: one gate walk per
-    /// cell-budget-sized chunk of weightings (`MAX_BATCH_CELLS`).
-    /// Output order matches input order and every value is bit-identical
-    /// to a serial per-weighting evaluation.
+    /// Exact batch evaluation with a throwaway arena (see
+    /// [`FlatCircuit::eval_batch_exact_with`]).
     pub fn evaluate_batch<W: WeightFn>(&self, weights: &[W]) -> Vec<Rational> {
-        let mut arena = EvalArena::with_capacity(self.gate_count());
-        self.eval_batch_exact_with(weights, &mut arena)
+        self.eval_batch_exact_with(weights, &mut EvalArena::new())
     }
 
     /// [`FlatCircuit::evaluate_batch`] fanned across `workers` logical
     /// workers of a [`WorkerPool`]. Workers claim **lane chunks** (not
     /// single weightings) from a shared cursor and price each chunk with
-    /// the batch kernel, each through a worker-local arena; exact rational
+    /// the forward pass, each through a worker-local arena; exact rational
     /// arithmetic makes the output identical to the serial batch for every
     /// worker count.
     pub fn evaluate_batch_on<W: WeightFn + Sync>(
@@ -782,7 +594,7 @@ impl FlatCircuit {
         let mut out: Vec<Option<Rational>> = vec![None; weights.len()];
         let slots = Mutex::new(&mut out);
         pool.broadcast(workers, |_| {
-            let mut arena = EvalArena::with_capacity(self.gate_count());
+            let mut arena = EvalArena::new();
             let mut local: Vec<(usize, Vec<Rational>)> = Vec::new();
             loop {
                 let c = cursor.fetch_add(1, Ordering::Relaxed);
@@ -877,7 +689,7 @@ impl Compiler {
     /// Flattens the compiler's entire multi-rooted pool, preserving ids —
     /// `NodeId`s handed out by [`Compiler::compile`] remain valid gate
     /// ids of the result (the nominal root is the last gate; use
-    /// [`FlatCircuit::evaluate_all`] and index by compile-time ids).
+    /// [`FlatCircuit::evaluate_all_batch`] and index by compile-time ids).
     pub fn finish_flat(&self) -> FlatCircuit {
         let root = (self.node_count() - 1) as u32;
         FlatCircuit::from_pool(self.nodes(), root)
@@ -896,6 +708,11 @@ mod tests {
 
     fn r(n: i64, d: i64) -> Rational {
         Rational::from_ints(n, d)
+    }
+
+    /// Every gate of a pool under one weighting: the batch pass, one lane.
+    fn evaluate_all<W: WeightFn>(flat: &FlatCircuit, w: &W) -> Valuation {
+        flat.evaluate_all_batch(std::slice::from_ref(w)).remove(0)
     }
 
     #[test]
@@ -921,24 +738,6 @@ mod tests {
             let exact = flat.eval_exact(&w);
             assert!(flat.eval_interval(&w).contains(&exact));
         }
-    }
-
-    #[test]
-    fn per_gate_fallback_matches_forward_pass() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
-        let flat = Circuit::compile(&f).flatten();
-        let w = UniformWeight(r(1, 3));
-        let mut arena = EvalArena::new();
-        let full = flat.eval_exact_with(&w, &mut arena);
-        flat.resolve_weights(&w, &mut arena.slot_weights);
-        let mut overlay = Vec::new();
-        let at = flat.eval_exact_at(flat.root(), &arena.slot_weights, &mut overlay);
-        assert_eq!(at, full);
-        // The overlay memoizes: re-asking is answered without re-pricing.
-        assert_eq!(
-            flat.eval_exact_at(flat.root(), &arena.slot_weights, &mut overlay),
-            full
-        );
     }
 
     #[test]
@@ -969,7 +768,7 @@ mod tests {
         let flat = comp.finish_flat();
         assert_eq!(flat.gate_count(), comp.node_count());
         let w = UniformWeight(Rational::one_half());
-        let flat_vals = flat.evaluate_all(&w);
+        let flat_vals = evaluate_all(&flat, &w);
         let tree_vals = comp.evaluate_all(&w);
         assert_eq!(flat_vals.value(rf), tree_vals.value(rf));
         assert_eq!(flat_vals.value(rg), tree_vals.value(rg));
@@ -991,33 +790,20 @@ mod tests {
 
     #[test]
     fn batch_intervals_enclose_exact_values() {
+        // The interval lane of the pass at width k: each lane encloses its
+        // exact value and equals the width-1 pass bit for bit.
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4])]);
         let flat = Circuit::compile(&f).flatten();
         let weights: Vec<UniformWeight> = (0..=7).map(|k| UniformWeight(r(k, 7))).collect();
+        let k = weights.len();
         let mut arena = EvalArena::new();
-        let ivs = flat.eval_batch_interval_with(&weights, &mut arena);
+        let root = flat.root() as usize * k;
+        let ivs = flat.price::<Interval, _>(&weights, &mut arena)[root..root + k].to_vec();
         let exact = flat.eval_batch_exact_with(&weights, &mut arena);
         assert_eq!(ivs.len(), exact.len());
-        for (iv, x) in ivs.iter().zip(&exact) {
+        for ((iv, x), w) in ivs.iter().zip(&exact).zip(&weights) {
             assert!(iv.contains(x), "{iv:?} misses {x}");
-        }
-    }
-
-    #[test]
-    fn le_exact_batch_matches_serial_le_exact() {
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let flat = Circuit::compile(&f).flatten();
-        let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let mut arena = EvalArena::new();
-        // One threshold that intervals decide, one that forces fallback
-        // (the exact value at w = 1/2 is 5/8).
-        for t in [r(3, 4), r(5, 8)] {
-            let batch = flat.le_exact_batch(&weights, &t, &mut arena);
-            let serial: Vec<(bool, bool)> = weights
-                .iter()
-                .map(|w| flat.le_exact(w, &t, &mut arena))
-                .collect();
-            assert_eq!(batch, serial);
+            assert_eq!(*iv, flat.eval_interval(w));
         }
     }
 
@@ -1032,12 +818,11 @@ mod tests {
         let weights: Vec<UniformWeight> = (0..=5).map(|k| UniformWeight(r(k, 5))).collect();
         let batch = flat.evaluate_all_batch(&weights);
         for (vals, w) in batch.iter().zip(&weights) {
-            let serial = flat.evaluate_all(w);
+            let serial = evaluate_all(&flat, w);
             assert_eq!(vals.value(rf), serial.value(rf));
             assert_eq!(vals.value(rg), serial.value(rg));
         }
     }
-
     #[test]
     fn batch_chunking_is_value_neutral() {
         // A batch wide enough to split into several kernel chunks must

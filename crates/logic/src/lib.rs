@@ -14,8 +14,9 @@
 //! * [`circuit`] — knowledge compilation of monotone CNFs into d-DNNF-style
 //!   arithmetic circuits, for compile-once / evaluate-many workloads;
 //! * [`flat`] — the struct-of-arrays evaluation form of those circuits
-//!   ([`FlatCircuit`]): dense topologically ordered gates, packed
-//!   children, interval-first evaluation with certified exact fallback;
+//!   ([`FlatCircuit`]) and its one forward gate kernel: dense
+//!   topologically ordered gates, packed children, exact and interval
+//!   lanes priced by the same per-gate step;
 //! * [`priced`] — the stateful layer over [`flat`] ([`PricedCircuit`]):
 //!   persisted per-gate values, reverse topology, dirty-path incremental
 //!   re-pricing on weight updates, and the downward derivative pass
@@ -33,11 +34,12 @@ pub mod intern;
 pub mod priced;
 pub mod wmc;
 
-pub use circuit::{Circuit, Compiler, EvalArena, Node, NodeId, Valuation};
+pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use dnf::Dnf;
 pub use flat::{
-    interval_fallbacks_thread, interval_fallbacks_total, FlatCircuit, Op, ReverseTopology,
+    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Op,
+    ReverseTopology,
 };
 pub use intern::{CnfId, CnfInterner};
 pub use priced::{PricedCircuit, UpdateStats};

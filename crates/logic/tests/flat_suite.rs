@@ -10,12 +10,18 @@
 //!   `1/2^60`, `1 − 1/2^60`) chosen to sit just off the dyadic grid;
 //! * **no wrong certificates** — whenever the interval layer *proves* a
 //!   comparison, the proven answer agrees with the exact one; fallback
-//!   (`Unknown` → exact re-pricing) always lands on the exact verdict.
+//!   (`Unknown` → exact re-pricing) always lands on the exact verdict;
+//! * **one kernel** — every entry point that prices a circuit (single,
+//!   batch, pool, priced state) returns the same exact value and the same
+//!   root interval, bit for bit.
 
 use gfomc_arith::{Certifies, Integer, Natural, Rational};
-use gfomc_logic::{wmc, wmc_brute_force, Circuit, Clause, Cnf, Compiler, EvalArena, Var};
+use gfomc_logic::{
+    wmc, wmc_brute_force, Circuit, Clause, Cnf, Compiler, EvalArena, NodeId, PricedCircuit, Var,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Random monotone CNF over at most 8 variables with at most 6 clauses.
 fn arb_cnf() -> impl Strategy<Value = Cnf> {
@@ -112,24 +118,13 @@ proptest! {
             thresholds.push(&exact - &tiny());
         }
         for t in &thresholds {
-            if let Certifies::Proven(ans) = flat.proves_le(&w, t, &mut arena) {
+            if let Certifies::Proven(ans) = flat.eval_interval(&w).proves_le_rational(t) {
                 prop_assert_eq!(ans, &exact <= t, "certified wrong answer vs {:?}", t);
             }
             // The combined fast-path + fallback answer is always exact.
             let (ans, _fell_back) = flat.le_exact(&w, t, &mut arena);
             prop_assert_eq!(ans, &exact <= t);
         }
-    }
-
-    #[test]
-    fn per_gate_fallback_matches_forward_pass(f in arb_cnf(), w in arb_tight_weights()) {
-        let flat = Circuit::compile(&f).flatten();
-        let mut arena = EvalArena::new();
-        let full = flat.eval_exact_with(&w, &mut arena);
-        let mut slots = Vec::new();
-        flat.resolve_weights(&w, &mut slots);
-        let mut overlay = Vec::new();
-        prop_assert_eq!(flat.eval_exact_at(flat.root(), &slots, &mut overlay), full);
     }
 
     #[test]
@@ -141,9 +136,36 @@ proptest! {
         let rg = comp.compile(&g);
         let flat = comp.finish_flat();
         prop_assert_eq!(flat.gate_count(), comp.node_count());
-        let flat_vals = flat.evaluate_all(&w);
+        let flat_vals = flat.evaluate_all_batch(std::slice::from_ref(&w)).remove(0);
         let tree_vals = comp.evaluate_all(&w);
         prop_assert_eq!(flat_vals.value(rf), tree_vals.value(rf));
         prop_assert_eq!(flat_vals.value(rg), tree_vals.value(rg));
+    }
+
+    #[test]
+    fn every_entry_point_agrees_bit_for_bit(
+        f in arb_cnf(),
+        batch in proptest::collection::vec(arb_tight_weights(), 1..4),
+    ) {
+        // Empty and all-constant CNFs are kept: circuits without variables
+        // price every lane from an empty slot table.
+        let tree = Circuit::compile(&f);
+        let flat = Arc::new(tree.flatten());
+        let root = NodeId(flat.root());
+        let lanes = flat.evaluate_batch(&batch);
+        let pools = flat.evaluate_all_batch(&batch);
+        prop_assert_eq!(lanes.len(), batch.len());
+        prop_assert_eq!(pools.len(), batch.len());
+        for (l, w) in batch.iter().enumerate() {
+            let exact = flat.eval_exact(w);
+            prop_assert_eq!(&lanes[l], &exact, "lane {} of evaluate_batch", l);
+            prop_assert_eq!(pools[l].value(root), &exact, "lane {} of evaluate_all_batch", l);
+            let slot_weights: Vec<Rational> = flat.vars().iter().map(|v| w[v].clone()).collect();
+            let priced = PricedCircuit::new(flat.clone(), &slot_weights);
+            prop_assert_eq!(&priced.value(), &exact);
+            prop_assert_eq!(priced.interval(), flat.eval_interval(w));
+            prop_assert_eq!(&tree.evaluate(w), &exact);
+            prop_assert_eq!(wmc_brute_force(&f, w), exact);
+        }
     }
 }

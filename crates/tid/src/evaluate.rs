@@ -7,14 +7,16 @@ use gfomc_logic::Circuit;
 use gfomc_query::BipartiteQuery;
 
 /// Computes `Pr_∆(Q)` exactly: lineage construction, knowledge compilation
-/// of the lineage into an arithmetic circuit, and one bottom-up
-/// evaluation under the tuple probabilities. This is the oracle invoked by
-/// the paper's Cook reductions; callers that price the same lineage under
-/// many weight assignments should keep the [`Circuit`] (see
-/// `gfomc-engine`) instead of re-entering here.
+/// of the lineage into an arithmetic circuit, and one forward pass of the
+/// flat gate kernel under the tuple probabilities. This is the oracle
+/// invoked by the paper's Cook reductions; callers that price the same
+/// lineage under many weight assignments should keep the compiled
+/// circuit (see `gfomc-engine`) instead of re-entering here.
 pub fn probability(q: &BipartiteQuery, tid: &Tid) -> Rational {
     let lin = lineage(q, tid);
-    Circuit::compile(&lin.cnf).evaluate(lin.vars.weights())
+    Circuit::compile(&lin.cnf)
+        .flatten()
+        .eval_exact(lin.vars.weights())
 }
 
 /// Computes `Pr_∆(Q)` by enumerating all possible worlds over the uncertain
