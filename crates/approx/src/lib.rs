@@ -63,7 +63,7 @@ mod sampler;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveEstimate};
 pub use estimate::{ConfidenceInterval, Estimate};
-pub use sampler::{samples_drawn_total, CnfSampler, KarpLuby, SAMPLE_CHUNK};
+pub use sampler::{CnfSampler, KarpLuby, SAMPLE_CHUNK};
 
 use gfomc_logic::Dnf;
 use gfomc_query::BipartiteQuery;

@@ -42,15 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// how many threads executed the chunks or in which order.
 pub const SAMPLE_CHUNK: u64 = 256;
 
-/// Process-wide count of Monte-Carlo samples drawn by the seeded chunked
-/// sampler (telemetry only — never read on the sampling path).
-static SAMPLES_DRAWN: AtomicU64 = AtomicU64::new(0);
-
-/// Total Monte-Carlo samples drawn across the process so far.
-pub fn samples_drawn_total() -> u64 {
-    SAMPLES_DRAWN.load(Ordering::Relaxed)
-}
-
 /// Debug-asserts `0 < value < 1` — NaN included. Range checking moved to
 /// the typed `BudgetError` validation in `gfomc-engine`'s `Budget`
 /// builders (the public front door, which a network request can reach);
@@ -371,9 +362,6 @@ impl KarpLuby {
             from.is_multiple_of(SAMPLE_CHUNK),
             "sample ranges must start on a chunk boundary"
         );
-        // Telemetry only: the draw count is decided above, and observing
-        // it cannot change a single sample.
-        SAMPLES_DRAWN.fetch_add(to - from, Ordering::Relaxed);
         let first = from / SAMPLE_CHUNK;
         let last = to.div_ceil(SAMPLE_CHUNK);
         let len = |c: u64| (to - c * SAMPLE_CHUNK).min(SAMPLE_CHUNK);

@@ -54,7 +54,7 @@ use crate::router::{AutoResult, Budget, BudgetError, Route, Routed, SampleMode};
 use crate::Engine;
 use gfomc_approx::ConfidenceInterval;
 use gfomc_arith::Rational;
-use gfomc_obs::Trace;
+use gfomc_obs::{Counter, Histogram, Trace};
 use gfomc_query::{parser::parse_query, BipartiteQuery};
 use gfomc_safety::CircuitCostEstimate;
 use gfomc_tid::{Tid, Tuple};
@@ -69,11 +69,7 @@ use std::time::Instant;
 impl fmt::Display for Route {
     /// Lower-case route tag: `lifted`, `compiled`, or `sampled`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Route::Lifted => "lifted",
-            Route::Compiled => "compiled",
-            Route::Sampled => "sampled",
-        })
+        f.write_str(self.label())
     }
 }
 
@@ -93,12 +89,11 @@ impl FromStr for Route {
     type Err = ResponseParseError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim() {
-            "lifted" => Ok(Route::Lifted),
-            "compiled" => Ok(Route::Compiled),
-            "sampled" => Ok(Route::Sampled),
-            other => Err(ResponseParseError(format!("unknown route '{other}'"))),
-        }
+        let s = s.trim();
+        Route::ALL
+            .into_iter()
+            .find(|r| r.label() == s)
+            .ok_or_else(|| ResponseParseError(format!("unknown route '{s}'")))
     }
 }
 
@@ -479,6 +474,26 @@ impl fmt::Display for EvalRequest {
     }
 }
 
+/// Every key of the request grammar: the lines [`EvalRequest`]'s parser
+/// matches, and the request lines the session grammar accepts under
+/// `session open`. A unit test checks that the parser knows each one.
+pub(crate) const REQUEST_KEYS: [&str; 14] = [
+    "query",
+    "tenant",
+    "trace",
+    "left",
+    "right",
+    "default",
+    "tuple",
+    "max_circuit_cost",
+    "samples",
+    "delta",
+    "seed",
+    "threads",
+    "mode",
+    "threshold",
+];
+
 impl FromStr for EvalRequest {
     type Err = RequestParseError;
 
@@ -701,6 +716,29 @@ impl Engine {
         self.evaluate_request_recorded(req, 0)
     }
 
+    /// The request epilogue shared by `/eval` and `/session`: runs `body`
+    /// on a fresh trace — opened with the wire-parse span when the
+    /// request came off the wire — then sets the trace total to parse
+    /// plus body time and records it in the request counter and latency
+    /// histogram `body` hands back, and in the slow-query log.
+    pub(crate) fn record_request<'a, R>(
+        &'a self,
+        parse_nanos: u64,
+        body: impl FnOnce(&mut Trace) -> (R, &'a Counter, &'a Histogram),
+    ) -> (R, Trace) {
+        let mut tr = Trace::new();
+        if parse_nanos > 0 {
+            tr.push_span("parse", parse_nanos);
+        }
+        let start = Instant::now();
+        let (out, requests, latency) = body(&mut tr);
+        tr.total_nanos = parse_nanos + start.elapsed().as_nanos() as u64;
+        requests.inc();
+        latency.record(tr.total_nanos);
+        self.slow_log.record(&tr);
+        (out, tr)
+    }
+
     /// [`Engine::evaluate_request`] with the wire-parse time already
     /// spent on this request, so the recorded trace and latency
     /// histograms cover the full parse → route → evaluate pipeline.
@@ -710,28 +748,20 @@ impl Engine {
         parse_nanos: u64,
     ) -> Result<Routed, BudgetError> {
         req.budget.validate()?;
-        let start = Instant::now();
-        let mut tr = Trace::new();
-        if parse_nanos > 0 {
-            tr.push_span("parse", parse_nanos);
-        }
-        let mut routed = self.evaluate_auto_core(&req.query, &req.tid, &req.budget, &mut tr);
+        let (mut routed, tr) = self.record_request(parse_nanos, |tr| {
+            let routed = self.evaluate_auto_core(&req.query, &req.tid, &req.budget, tr);
+            let latency = &self.route_nanos[routed.route as usize];
+            (routed, &self.requests, latency)
+        });
         if let Some(tenant) = &req.tenant {
-            self.count_tenant_route(tenant, routed.route);
-        }
-        tr.total_nanos = parse_nanos + start.elapsed().as_nanos() as u64;
-        self.requests.inc();
-        let registry = self.registry();
-        let route_label = routed.route.to_string();
-        registry
-            .histogram("engine_request_nanos", &[("route", &route_label)])
-            .record(tr.total_nanos);
-        if let Some(tenant) = &req.tenant {
-            registry
+            let labels = [("route", routed.route.label()), ("tenant", tenant)];
+            self.registry
+                .counter("engine_tenant_route_total", &labels)
+                .inc();
+            self.registry
                 .histogram("engine_tenant_request_nanos", &[("tenant", tenant)])
                 .record(tr.total_nanos);
         }
-        self.slow_log().record(&tr);
         if req.trace {
             routed.trace = Some(tr);
         }
@@ -779,6 +809,24 @@ mod tests {
         for bad in ["R(x0)", "S(u0,v1)", "Q(u1)", "R(u)", "S1(u0 v1)", ""] {
             assert!(parse_tuple(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn every_request_key_has_a_parser() {
+        let base = small_request().to_string();
+        for key in REQUEST_KEYS {
+            let err = format!("{base}{key}\n")
+                .parse::<EvalRequest>()
+                .expect_err("a bare or repeated key line is malformed");
+            assert!(
+                !err.to_string().contains("unknown request line"),
+                "'{key}' is in REQUEST_KEYS but EvalRequest does not parse it: {err}"
+            );
+        }
+        let err = format!("{base}bogus 1\n")
+            .parse::<EvalRequest>()
+            .unwrap_err();
+        assert!(err.to_string().contains("unknown request line 'bogus'"));
     }
 
     #[test]

@@ -64,12 +64,12 @@ pub use gfomc_obs::{HistogramSnapshot, Registry, SlowLog, Trace};
 
 use gfomc_arith::Rational;
 use gfomc_logic::{Circuit, Cnf, CnfId, CnfInterner, EvalArena, FlatCircuit, WeightsFromFn};
-use gfomc_obs::Counter;
+use gfomc_obs::{Counter, Histogram};
 use gfomc_pool::WorkerPool;
 use gfomc_query::BipartiteQuery;
 use gfomc_tid::{lineage, Lineage, Tid, Tuple, VarTable};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -184,27 +184,35 @@ struct CacheShard {
 /// giant still ages out eventually).
 #[derive(Debug)]
 pub struct Engine {
-    /// The engine's metric namespace: every counter below is a handle
-    /// into this registry, so `/metrics` and the typed getters
-    /// ([`Engine::cache_stats`], [`Engine::route_counts`]) read the same
-    /// cells and can never drift apart.
+    /// The engine's only tally store: every counter and histogram below
+    /// is a handle into this registry, created at build time, so
+    /// `/metrics` and the typed getters ([`Engine::cache_stats`],
+    /// [`Engine::route_counts`], [`Engine::tenant_route_counts`]) read the
+    /// same cells and can never drift apart. Only tenant-labelled cells
+    /// are registered on first use.
     registry: Arc<Registry>,
     /// Slow-request ring buffer fed by
     /// [`Engine::evaluate_request`](crate::api) (full phase traces of the
     /// slowest requests; see [`EngineBuilder::slow_threshold_nanos`]).
     slow_log: Arc<SlowLog>,
-    pub(crate) requests: Arc<Counter>,
+    requests: Arc<Counter>,
     compiled: Arc<Counter>,
     nodes: Arc<Counter>,
     decisions: Arc<Counter>,
-    routes_lifted: Arc<Counter>,
-    routes_compiled: Arc<Counter>,
-    routes_sampled: Arc<Counter>,
-    /// Per-tenant routing tallies, keyed by the tenant label of the
-    /// [`EvalRequest`](crate::EvalRequest) that carried the query (the
-    /// serving layer's multi-tenant accounting; empty until a labeled
-    /// request arrives).
-    tenant_routes: Mutex<HashMap<String, RouteCounts>>,
+    /// Routing decisions and `/eval` request latencies, indexed by
+    /// `Route as usize`.
+    route_totals: [Arc<Counter>; 3],
+    route_nanos: [Arc<Histogram>; 3],
+    /// Monte-Carlo samples the sampled route drew.
+    samples_drawn: Arc<Counter>,
+    /// Threshold verdicts the interval lane left to exact arithmetic.
+    interval_fallbacks: Arc<Counter>,
+    session_requests: Arc<Counter>,
+    session_nanos: Arc<Histogram>,
+    sessions_opened: Arc<Counter>,
+    sessions_closed: Arc<Counter>,
+    update_nanos: Arc<Histogram>,
+    explain_nanos: Arc<Histogram>,
     shards: Box<[Mutex<CacheShard>]>,
     cache_capacity: usize,
     cache_stamp: AtomicU64,
@@ -348,16 +356,24 @@ impl EngineBuilder {
             .collect();
         let registry = Arc::new(Registry::new());
         let counter = |name: &str| registry.counter(name, &[]);
-        let route = |name: &str| registry.counter("engine_route_total", &[("route", name)]);
+        let histogram = |name: &str| registry.histogram(name, &[]);
+        let by_route = |r: Route| [("route", r.label())];
         Engine {
             requests: counter("engine_requests_total"),
             compiled: counter("engine_compiled_circuits_total"),
             nodes: counter("engine_circuit_gates_total"),
             decisions: counter("engine_circuit_decisions_total"),
-            routes_lifted: route("lifted"),
-            routes_compiled: route("compiled"),
-            routes_sampled: route("sampled"),
-            tenant_routes: Mutex::new(HashMap::new()),
+            route_totals: Route::ALL.map(|r| registry.counter("engine_route_total", &by_route(r))),
+            route_nanos: Route::ALL
+                .map(|r| registry.histogram("engine_request_nanos", &by_route(r))),
+            samples_drawn: counter("sampler_samples_drawn"),
+            interval_fallbacks: counter("flat_interval_fallbacks"),
+            session_requests: counter("engine_session_requests_total"),
+            session_nanos: registry.histogram("engine_request_nanos", &[("route", "session")]),
+            sessions_opened: counter("engine_sessions_opened_total"),
+            sessions_closed: counter("engine_sessions_closed_total"),
+            update_nanos: histogram("engine_update_nanos"),
+            explain_nanos: histogram("engine_explain_nanos"),
             shards,
             cache_capacity: capacity,
             cache_stamp: AtomicU64::new(0),
@@ -564,21 +580,17 @@ impl Engine {
     }
 
     /// Bumps one route counter — the router's bookkeeping.
-    pub(crate) fn count_route(&self, route: router::Route) {
-        let counter = match route {
-            router::Route::Lifted => &self.routes_lifted,
-            router::Route::Compiled => &self.routes_compiled,
-            router::Route::Sampled => &self.routes_sampled,
-        };
-        counter.inc();
+    pub(crate) fn count_route(&self, route: Route) {
+        self.route_totals[route as usize].inc();
     }
 
     /// Routing decisions made by this engine so far.
     pub fn route_counts(&self) -> RouteCounts {
+        let [lifted, compiled, sampled] = self.route_totals.each_ref().map(|c| c.get() as usize);
         RouteCounts {
-            lifted: self.routes_lifted.get() as usize,
-            compiled: self.routes_compiled.get() as usize,
-            sampled: self.routes_sampled.get() as usize,
+            lifted,
+            compiled,
+            sampled,
         }
     }
 
@@ -598,10 +610,10 @@ impl Engine {
         &self.slow_log
     }
 
-    /// Publishes the point-in-time state the counters cannot carry —
-    /// cache occupancy, worker-pool counters, and the process-wide
-    /// sampler / interval-fallback tallies — as registry gauges. Called
-    /// by the serving layer just before rendering `/metrics` or
+    /// Publishes the point-in-time state this engine's counters cannot
+    /// carry — cache occupancy, open sessions, and the worker pool's
+    /// counters (the pool crate has no registry) — as registry gauges.
+    /// Called by the serving layer just before rendering `/metrics` or
     /// `/status`, so scrapes see fresh values without the engine paying
     /// for gauge upkeep on the request path.
     pub fn refresh_gauges(&self) {
@@ -617,50 +629,32 @@ impl Engine {
         self.registry.set_gauge("pool_steals", &[], pool.steals);
         self.registry
             .set_gauge("pool_broadcasts", &[], pool.broadcasts);
-        self.registry.set_gauge(
-            "sampler_samples_drawn",
-            &[],
-            gfomc_approx::samples_drawn_total(),
-        );
-        self.registry.set_gauge(
-            "flat_interval_fallbacks",
-            &[],
-            gfomc_logic::interval_fallbacks_total(),
-        );
         self.registry
             .set_gauge("engine_sessions_open", &[], self.session_count() as u64);
     }
 
-    /// Bumps the routing tally of one tenant — called by
-    /// [`Engine::evaluate_request`](crate::api) for requests that carry a
-    /// tenant label. Tenants are created on first use.
-    pub(crate) fn count_tenant_route(&self, tenant: &str, route: router::Route) {
-        let mut map = self
-            .tenant_routes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let counts = map.entry(tenant.to_string()).or_default();
-        match route {
-            router::Route::Lifted => counts.lifted += 1,
-            router::Route::Compiled => counts.compiled += 1,
-            router::Route::Sampled => counts.sampled += 1,
-        }
-    }
-
-    /// Per-tenant routing tallies, sorted by tenant label — the
-    /// multi-tenant half of [`Engine::route_counts`]. Only requests routed
-    /// through [`Engine::evaluate_request`](crate::api) with a tenant label
-    /// are counted here; anonymous traffic appears in the global tallies
-    /// only.
+    /// Per-tenant routing tallies, sorted by tenant label, with routes a
+    /// tenant never took at zero — the multi-tenant half of
+    /// [`Engine::route_counts`], read back from the registry's
+    /// `engine_tenant_route_total{route,tenant}` counters. Only requests
+    /// routed through [`Engine::evaluate_request`](crate::api) with a
+    /// tenant label are counted here; anonymous traffic appears in the
+    /// global tallies only.
     pub fn tenant_route_counts(&self) -> Vec<(String, RouteCounts)> {
-        let map = self
-            .tenant_routes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out: Vec<(String, RouteCounts)> =
-            map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        let mut tenants: BTreeMap<String, RouteCounts> = BTreeMap::new();
+        for (labels, n) in self.registry.counters_named("engine_tenant_route_total") {
+            // Labels come sorted by key: `route`, then `tenant`.
+            if let [(_, route), (_, tenant)] = labels.as_slice() {
+                let counts = tenants.entry(tenant.clone()).or_default();
+                match route.parse() {
+                    Ok(Route::Lifted) => counts.lifted += n as usize,
+                    Ok(Route::Compiled) => counts.compiled += n as usize,
+                    Ok(Route::Sampled) => counts.sampled += n as usize,
+                    Err(_) => {}
+                }
+            }
+        }
+        tenants.into_iter().collect()
     }
 }
 

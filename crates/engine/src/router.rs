@@ -262,6 +262,21 @@ pub enum Route {
     Sampled,
 }
 
+impl Route {
+    /// Every route, in `Route as usize` order.
+    pub(crate) const ALL: [Route; 3] = [Route::Lifted, Route::Compiled, Route::Sampled];
+
+    /// The lower-case tag the wire grammar and the `route` metric label
+    /// use: `lifted`, `compiled`, or `sampled`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Route::Lifted => "lifted",
+            Route::Compiled => "compiled",
+            Route::Sampled => "sampled",
+        }
+    }
+}
+
 /// The tagged outcome: an exact probability or a sampler estimate. The tag
 /// is the API contract — downstream code must match, so an approximation
 /// can never silently masquerade as an exact answer.
@@ -452,24 +467,29 @@ impl Engine {
             span(tr, if hit { "cache" } else { "compile" });
             tr.cache_hit = Some(hit);
             self.count_route(Route::Compiled);
-            let fallbacks_before = gfomc_logic::interval_fallbacks_thread();
             // With a threshold, the decision is answered on the interval
             // lane first — the exact pass runs only when the enclosure
-            // straddles `t` (visible as a fallback in the trace).
-            let result = match &budget.threshold {
+            // straddles `t` (counted as a fallback).
+            let (result, fell_back) = match &budget.threshold {
                 Some(t) => {
-                    let (le, _fell_back) = compiled.certify_le_db(t);
-                    AutoResult::Certified {
+                    let (le, fell_back) = compiled.certify_le_db(t);
+                    let verdict = AutoResult::Certified {
                         le,
                         threshold: t.clone(),
-                    }
+                    };
+                    (verdict, fell_back)
                 }
-                None => AutoResult::Exact(
-                    ROUTE_ARENA.with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
+                None => (
+                    AutoResult::Exact(
+                        ROUTE_ARENA
+                            .with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
+                    ),
+                    false,
                 ),
             };
             span(tr, "evaluate");
-            tr.fallbacks = Some(gfomc_logic::interval_fallbacks_thread() - fallbacks_before);
+            self.interval_fallbacks.add(u64::from(fell_back));
+            tr.fallbacks = Some(u64::from(fell_back));
             tr.route = Some(Route::Compiled.to_string());
             return Routed {
                 result,
@@ -496,6 +516,7 @@ impl Engine {
             }
         };
         span(tr, "sample");
+        self.samples_drawn.add(est.samples);
         tr.samples = Some(est.samples);
         tr.route = Some(Route::Sampled.to_string());
         self.count_route(Route::Sampled);

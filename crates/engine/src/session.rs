@@ -64,7 +64,7 @@
 //! [`FromStr`]/[`fmt::Display`] pair bit-identically, so a client
 //! parsing the body holds exactly what an in-process caller would.
 
-use crate::api::{keyword, parse_prob, parse_tuple, token};
+use crate::api::{keyword, parse_prob, parse_tuple, token, REQUEST_KEYS};
 use crate::router::BudgetError;
 use crate::{Compiled, Engine, EvalRequest, RequestParseError, ResponseParseError, TupleWeights};
 use gfomc_arith::{Interval, Rational};
@@ -387,9 +387,7 @@ impl Engine {
             },
         );
         drop(sessions);
-        self.registry()
-            .counter("engine_sessions_opened_total", &[])
-            .inc();
+        self.sessions_opened.inc();
         Ok(id)
     }
 
@@ -399,9 +397,7 @@ impl Engine {
         self.lock_sessions()
             .remove(&id)
             .ok_or(SessionError::UnknownSession(id))?;
-        self.registry()
-            .counter("engine_sessions_closed_total", &[])
-            .inc();
+        self.sessions_closed.inc();
         Ok(())
     }
 
@@ -441,73 +437,65 @@ impl Engine {
         ops: &[SessionOp],
         tr: &mut Trace,
     ) -> Result<Vec<SessionReply>, SessionError> {
-        let registry = Arc::clone(self.registry());
-        let mut update_nanos = 0u64;
-        let mut explain_nanos = 0u64;
+        // The timed phases: span name, per-op histogram, summed nanos.
+        const UPDATE: usize = 0;
+        const EXPLAIN: usize = 1;
+        let mut phases = [
+            ("update", &self.update_nanos, 0u64),
+            ("explain", &self.explain_nanos, 0u64),
+        ];
         let replies = self.with_session(id, |s| -> Result<Vec<SessionReply>, SessionError> {
             let mut replies = Vec::with_capacity(ops.len());
             for op in ops {
-                match op {
+                let t0 = Instant::now();
+                let (reply, phase) = match op {
                     SessionOp::Update { tuple, weight } => {
-                        let t0 = Instant::now();
                         let stats = s.update(*tuple, weight.clone())?;
-                        let nanos = t0.elapsed().as_nanos() as u64;
-                        update_nanos += nanos;
-                        registry.histogram("engine_update_nanos", &[]).record(nanos);
-                        replies.push(SessionReply::Updated {
+                        let reply = SessionReply::Updated {
                             tuple: *tuple,
                             weight: weight.clone(),
                             repriced: stats.repriced,
                             of: s.gate_count(),
-                        });
+                        };
+                        (reply, Some(UPDATE))
                     }
-                    SessionOp::Value => replies.push(SessionReply::Value(s.value())),
-                    SessionOp::ExplainTop { k } => {
-                        let t0 = Instant::now();
-                        let ranked = s.top_k_influential(*k);
-                        let nanos = t0.elapsed().as_nanos() as u64;
-                        explain_nanos += nanos;
-                        registry
-                            .histogram("engine_explain_nanos", &[])
-                            .record(nanos);
-                        replies.push(SessionReply::Influence(ranked));
-                    }
+                    SessionOp::Value => (SessionReply::Value(s.value()), None),
+                    SessionOp::ExplainTop { k } => (
+                        SessionReply::Influence(s.top_k_influential(*k)),
+                        Some(EXPLAIN),
+                    ),
                     SessionOp::Gradient { tuple } => {
-                        let t0 = Instant::now();
-                        let g = s.gradient(*tuple)?;
-                        let nanos = t0.elapsed().as_nanos() as u64;
-                        explain_nanos += nanos;
-                        registry
-                            .histogram("engine_explain_nanos", &[])
-                            .record(nanos);
-                        replies.push(SessionReply::Gradient {
+                        let gradient = s.gradient(*tuple)?;
+                        let reply = SessionReply::Gradient {
                             tuple: *tuple,
-                            gradient: g,
-                        });
+                            gradient,
+                        };
+                        (reply, Some(EXPLAIN))
                     }
                     SessionOp::WhatIf { tuple } => {
-                        let t0 = Instant::now();
                         let (lo, hi) = s.what_if_band(*tuple)?;
-                        let nanos = t0.elapsed().as_nanos() as u64;
-                        explain_nanos += nanos;
-                        registry
-                            .histogram("engine_explain_nanos", &[])
-                            .record(nanos);
-                        replies.push(SessionReply::WhatIf {
+                        let reply = SessionReply::WhatIf {
                             tuple: *tuple,
                             lo,
                             hi,
-                        });
+                        };
+                        (reply, Some(EXPLAIN))
                     }
+                };
+                if let Some(p) = phase {
+                    let nanos = t0.elapsed().as_nanos() as u64;
+                    let (_, histogram, spent) = &mut phases[p];
+                    histogram.record(nanos);
+                    *spent += nanos;
                 }
+                replies.push(reply);
             }
             Ok(replies)
         })??;
-        if update_nanos > 0 {
-            tr.push_span("update", update_nanos);
-        }
-        if explain_nanos > 0 {
-            tr.push_span("explain", explain_nanos);
+        for (name, _, nanos) in phases {
+            if nanos > 0 {
+                tr.push_span(name, nanos);
+            }
         }
         Ok(replies)
     }
@@ -519,17 +507,21 @@ impl Engine {
     /// `update` / `explain` phase spans. Every request is counted and
     /// timed, including the ones that fail.
     pub fn session_request(&self, req: &SessionRequest) -> Result<SessionResponse, SessionError> {
-        let start = Instant::now();
-        let mut tr = Trace::new();
-        tr.route = Some("session".into());
-        let result = self.session_request_traced(req, &mut tr);
-        tr.total_nanos = start.elapsed().as_nanos() as u64;
-        let registry = self.registry();
-        registry.counter("engine_session_requests_total", &[]).inc();
-        registry
-            .histogram("engine_request_nanos", &[("route", "session")])
-            .record(tr.total_nanos);
-        self.slow_log().record(&tr);
+        self.session_request_recorded(req, 0)
+    }
+
+    /// [`Engine::session_request`] with the wire-parse time already spent
+    /// on this request, exactly as `/eval` records it.
+    fn session_request_recorded(
+        &self,
+        req: &SessionRequest,
+        parse_nanos: u64,
+    ) -> Result<SessionResponse, SessionError> {
+        let (result, _) = self.record_request(parse_nanos, |tr| {
+            tr.route = Some("session".into());
+            let result = self.session_request_traced(req, tr);
+            (result, &self.session_requests, &self.session_nanos)
+        });
         result
     }
 
@@ -607,12 +599,14 @@ impl Engine {
     /// the [`SessionResponse`] to the exact text the server sends back.
     /// Every failure is a typed [`SessionWireError`], never a panic.
     pub fn session_wire(&self, body: &str) -> Result<String, SessionWireError> {
+        let parse_start = Instant::now();
         let req: SessionRequest = body.parse().map_err(SessionWireError::Parse)?;
+        let parse_nanos = parse_start.elapsed().as_nanos() as u64;
         if let SessionRequest::Open { spec, .. } = &req {
             spec.budget.validate().map_err(SessionWireError::Budget)?;
         }
         let resp = self
-            .session_request(&req)
+            .session_request_recorded(&req, parse_nanos)
             .map_err(SessionWireError::Session)?;
         Ok(resp.to_string())
     }
@@ -772,25 +766,6 @@ impl fmt::Display for SessionRequest {
     }
 }
 
-/// The keys of the [`EvalRequest`] grammar, which may interleave with op
-/// lines under `session open`.
-const SPEC_KEYS: [&str; 14] = [
-    "query",
-    "tenant",
-    "trace",
-    "left",
-    "right",
-    "default",
-    "tuple",
-    "max_circuit_cost",
-    "samples",
-    "delta",
-    "seed",
-    "threads",
-    "mode",
-    "threshold",
-];
-
 enum Header {
     Open,
     Use(u64),
@@ -852,7 +827,7 @@ impl FromStr for SessionRequest {
                 }
                 Some(Header::Open | Header::Use(_)) => {}
             }
-            if SPEC_KEYS.contains(&key) {
+            if REQUEST_KEYS.contains(&key) {
                 if !matches!(header, Some(Header::Open)) {
                     return Err(at(&format!(
                         "request line '{key}' only allowed under 'session open'"

@@ -14,11 +14,15 @@
 //!   floats (Rust's shortest round-trip `Display`);
 //! * synthetic [`AutoResult`] values — not just ones the engine happens
 //!   to produce — survive the same round trip.
+//! * a `session open` body carrying any such request as its spec, with a
+//!   threshold and `trace on` added, round-trips the same way.
 
 use gfomc_approx::ConfidenceInterval;
 use gfomc_arith::Rational;
 use gfomc_engine::workload::{random_block_tid, random_query, SafetyTarget};
-use gfomc_engine::{AutoResult, Budget, Engine, EvalRequest, Routed, SampleMode};
+use gfomc_engine::{
+    AutoResult, Budget, Engine, EvalRequest, Routed, SampleMode, SessionOp, SessionRequest,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -69,6 +73,25 @@ proptest! {
         let text = req.to_string();
         let back: EvalRequest = text.parse().unwrap_or_else(|e| {
             panic!("request text failed to parse back: {e}\n{text}")
+        });
+        prop_assert_eq!(back, req);
+    }
+
+    #[test]
+    fn session_open_specs_roundtrip_exactly(seed in 0u64..100_000) {
+        // Every request key may ride under `session open`: tenants, the
+        // trace switch, `mode fixed` (sampled specs), and thresholds.
+        let mut spec = arbitrary_request(seed, seed % 2 == 1).with_trace();
+        let threshold = Rational::from_ints((seed % 9) as i64, 8);
+        spec.budget = spec.budget.with_threshold(threshold).expect("threshold in [0, 1]");
+        let req = SessionRequest::Open {
+            spec: Box::new(spec),
+            ops: vec![SessionOp::Value, SessionOp::ExplainTop { k: 1 + (seed % 3) as usize }],
+            close_after: seed % 3 == 0,
+        };
+        let text = req.to_string();
+        let back: SessionRequest = text.parse().unwrap_or_else(|e| {
+            panic!("session text failed to parse back: {e}\n{text}")
         });
         prop_assert_eq!(back, req);
     }

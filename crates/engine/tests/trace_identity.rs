@@ -11,13 +11,18 @@
 //!   through one fully instrumented engine (zero slow-log threshold, so
 //!   every request is recorded) still produce bit-identical results;
 //! * **batch parity** — `evaluate_auto_batch` on an instrumented engine
-//!   is byte-identical to the serial loop on a telemetry-default engine.
+//!   is byte-identical to the serial loop on a telemetry-default engine;
+//! * **tallies add up** — under the hammer, with tenant labels and
+//!   thresholds, the registry's per-tenant route counters, sample counter
+//!   and interval-fallback counter equal what the responses report.
 
+use gfomc_arith::Rational;
 use gfomc_engine::workload::{random_block_tid, random_query, SafetyTarget};
-use gfomc_engine::{Budget, Engine, EvalRequest, Routed};
+use gfomc_engine::{AutoResult, Budget, Engine, EvalRequest, Route, RouteCounts, Routed};
 use gfomc_query::BipartiteQuery;
 use gfomc_tid::Tid;
 use rand::{rngs::StdRng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// A mixed workload of safe and unsafe queries.
 fn mixed_workload(seed: u64, n: usize) -> Vec<(BipartiteQuery, Tid)> {
@@ -160,4 +165,122 @@ fn instrumented_batch_matches_plain_serial_loop() {
     for (b, s) in batch.iter().zip(&serial) {
         assert_eq!(b.to_string(), s.to_string());
     }
+}
+
+#[test]
+fn registry_tallies_equal_the_responses_under_the_hammer() {
+    const THREADS: usize = 8;
+    let workload = mixed_workload(0x7A11, 12);
+    let budget = tight_budget();
+    // Every other query asks `Pr ≤ Pr?` under the default circuit cap (so
+    // unsafe ones compile) on its database with every probability scaled
+    // by 2/3. That exact value is not a double, so the outward-rounded
+    // interval lane strictly encloses it and the compiled route must fall
+    // back to exact arithmetic.
+    let reference = Engine::new();
+    let requests: Vec<EvalRequest> = workload
+        .iter()
+        .enumerate()
+        .map(|(i, (q, tid))| {
+            let mut req = EvalRequest::new(q.clone(), tid.clone())
+                .with_budget(budget.clone())
+                .with_trace();
+            if i % 2 == 1 {
+                let scaled: Vec<_> = tid
+                    .explicit_tuples()
+                    .map(|(t, p)| (*t, p * &Rational::from_ints(2, 3)))
+                    .collect();
+                for (t, p) in scaled {
+                    req.tid.set_prob(t, p);
+                }
+                let exact = reference.evaluate_auto(q, &req.tid, &Budget::default());
+                if let AutoResult::Exact(p) = exact.result {
+                    req.budget = Budget::default().with_threshold(p).unwrap();
+                }
+            }
+            req
+        })
+        .collect();
+    let engine = Engine::new();
+    let mut results: Vec<(Option<String>, Routed)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, requests) = (&engine, &requests);
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    for (i, req) in requests.iter().enumerate() {
+                        // Three tenants plus anonymous traffic.
+                        let mut req = req.clone();
+                        req.tenant = ((t + i) % 4 != 0).then(|| format!("tenant{}", (t + i) % 3));
+                        out.push((req.tenant.clone(), engine.evaluate_request(&req).unwrap()));
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    // A tenant that only ever took one route.
+    let (q, tid) = &workload[0];
+    let solo = EvalRequest::new(q.clone(), tid.clone()).with_tenant("solo");
+    let solo = engine.evaluate_request(&solo).unwrap();
+    assert_eq!(solo.route, Route::Lifted);
+    results.push((Some("solo".into()), solo));
+
+    let mut tenants: BTreeMap<String, RouteCounts> = BTreeMap::new();
+    let (mut samples, mut fallbacks) = (0u64, 0u64);
+    for (tenant, routed) in &results {
+        if let Some(tenant) = tenant {
+            let counts = tenants.entry(tenant.clone()).or_default();
+            match routed.route {
+                Route::Lifted => counts.lifted += 1,
+                Route::Compiled => counts.compiled += 1,
+                Route::Sampled => counts.sampled += 1,
+            }
+        }
+        if let Some(trace) = &routed.trace {
+            samples += trace.samples.unwrap_or(0);
+            fallbacks += trace.fallbacks.unwrap_or(0);
+        }
+    }
+    let registry = engine.registry();
+    for (tenant, counts) in &tenants {
+        for (route, n) in [
+            ("lifted", counts.lifted),
+            ("compiled", counts.compiled),
+            ("sampled", counts.sampled),
+        ] {
+            let labels = [("route", route), ("tenant", tenant.as_str())];
+            assert_eq!(
+                registry.counter_value("engine_tenant_route_total", &labels),
+                n as u64,
+                "{tenant} {route}"
+            );
+        }
+    }
+    // Read back sorted by tenant, routes a tenant never took at zero.
+    let expected: Vec<(String, RouteCounts)> = tenants.into_iter().collect();
+    assert_eq!(engine.tenant_route_counts(), expected);
+    let solo_counts = RouteCounts {
+        lifted: 1,
+        ..RouteCounts::default()
+    };
+    assert!(expected.contains(&("solo".to_string(), solo_counts)));
+    // The sample and fallback counters are the traces' sums, and the
+    // workload exercises both.
+    assert!(
+        samples > 0 && fallbacks > 0,
+        "{samples} samples, {fallbacks} fallbacks"
+    );
+    assert_eq!(
+        registry.counter_value("sampler_samples_drawn", &[]),
+        samples
+    );
+    assert_eq!(
+        registry.counter_value("flat_interval_fallbacks", &[]),
+        fallbacks
+    );
 }

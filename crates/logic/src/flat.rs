@@ -40,9 +40,8 @@ use crate::cnf::Var;
 use crate::wmc::WeightFn;
 use gfomc_arith::{Certifies, Interval, Rat64, Rational};
 use gfomc_pool::WorkerPool;
-use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Cap on `gates × lanes` cells held live by one forward pass; batches
@@ -244,30 +243,6 @@ impl EvalArena {
     pub fn new() -> Self {
         EvalArena::default()
     }
-}
-
-/// Process-wide count of interval-evaluation fallbacks to exact
-/// arithmetic in [`FlatCircuit::le_exact`] — a telemetry counter: it
-/// observes the decision, never influences it.
-static INTERVAL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread slice of [`INTERVAL_FALLBACKS`]. The compiled route
-    /// evaluates on the request's own thread, so a before/after read of
-    /// this cell attributes fallbacks to one request exactly.
-    static INTERVAL_FALLBACKS_THREAD: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Total [`FlatCircuit::le_exact`] interval→exact fallbacks across the
-/// process (monotone; exported to the engine's `/metrics` gauges).
-pub fn interval_fallbacks_total() -> u64 {
-    INTERVAL_FALLBACKS.load(Ordering::Relaxed)
-}
-
-/// This thread's share of [`interval_fallbacks_total`] — read it before
-/// and after an evaluation to attribute fallbacks to that evaluation.
-pub fn interval_fallbacks_thread() -> u64 {
-    INTERVAL_FALLBACKS_THREAD.with(Cell::get)
 }
 
 /// Gate opcode of a [`FlatCircuit`].
@@ -492,7 +467,8 @@ impl FlatCircuit {
 
     /// Definite answer for `Pr(F, w) ≤ t`: the interval lane first, the
     /// exact lane only when the enclosure straddles `t`
-    /// ([`Certifies::Unknown`]). Returns `(answer, fell_back_to_exact)`.
+    /// ([`Certifies::Unknown`]). Returns `(answer, fell_back_to_exact)`;
+    /// callers that account for fallbacks count the second component.
     pub fn le_exact<W: WeightFn>(
         &self,
         w: &W,
@@ -502,11 +478,7 @@ impl FlatCircuit {
         let ivs = self.price::<Interval, W>(std::slice::from_ref(w), arena);
         match ivs[self.root as usize].proves_le_rational(t) {
             Certifies::Proven(b) => (b, false),
-            Certifies::Unknown => {
-                INTERVAL_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-                INTERVAL_FALLBACKS_THREAD.with(|c| c.set(c.get() + 1));
-                (&self.eval_exact_with(w, arena) <= t, true)
-            }
+            Certifies::Unknown => (&self.eval_exact_with(w, arena) <= t, true),
         }
     }
 

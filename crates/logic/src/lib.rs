@@ -37,10 +37,7 @@ pub mod wmc;
 pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use dnf::Dnf;
-pub use flat::{
-    interval_fallbacks_thread, interval_fallbacks_total, EvalArena, FlatCircuit, Op,
-    ReverseTopology,
-};
+pub use flat::{EvalArena, FlatCircuit, Op, ReverseTopology};
 pub use intern::{CnfId, CnfInterner};
 pub use priced::{PricedCircuit, UpdateStats};
 pub use wmc::{

@@ -321,6 +321,16 @@ impl Registry {
             .map_or(0, |c| c.get())
     }
 
+    /// Every counter registered under `name`, as `(labels, value)` pairs
+    /// in label order.
+    pub fn counters_named(&self, name: &str) -> Vec<(Vec<(String, String)>, u64)> {
+        lock(&self.counters)
+            .iter()
+            .filter(|(k, _)| k.name == name)
+            .map(|(k, c)| (k.labels.clone(), c.get()))
+            .collect()
+    }
+
     /// A snapshot of one histogram, if registered.
     pub fn histogram_snapshot(
         &self,

@@ -372,9 +372,9 @@ fn at_capacity(gate: &Arc<AdmissionGate>) -> Response {
 }
 
 /// Publishes the gate's counters into the engine registry and refreshes
-/// the engine-side gauges (cache occupancy, pool counters, process-wide
-/// sampler/fallback tallies), so `/status` and `/metrics` both render
-/// from one freshly synced key space.
+/// the engine-side gauges (cache occupancy, open sessions, pool
+/// counters), so `/status` and `/metrics` both render from one freshly
+/// synced key space.
 fn sync_gauges(engine: &Engine, gate: &Arc<AdmissionGate>) {
     let g = gate.stats();
     let registry = engine.registry();

@@ -578,3 +578,31 @@ fn traced_wire_responses_round_trip_with_phases() {
     assert_eq!(trace.route.as_deref(), Some("compiled"));
     handle.stop();
 }
+
+#[test]
+fn session_traces_open_with_the_wire_parse() {
+    // Zero slow threshold: every session request leaves its trace.
+    let handle = spawn(Engine::builder().slow_threshold_nanos(0).build());
+    let client = Client::new(handle.addr().to_string());
+    let (spec, ops) = session_fixture();
+    let req = SessionRequest::Open {
+        spec: Box::new(spec),
+        ops,
+        close_after: true,
+    };
+    let resp = client.post("/session", &req.to_string()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    // The same request in-process has no wire parse to time.
+    handle.engine().session_request(&req).unwrap();
+    let traces = handle.engine().slow_log().snapshot();
+    let [wire, direct] = traces.as_slice() else {
+        panic!("two session requests, two traces: {traces:?}");
+    };
+    assert_eq!(wire.route.as_deref(), Some("session"));
+    assert_eq!(wire.spans[0].0, "parse", "{wire}");
+    let spans: u64 = wire.spans.iter().map(|&(_, nanos)| nanos).sum();
+    assert!(wire.total_nanos >= spans, "{wire}");
+    assert!(direct.span("parse").is_none(), "{direct}");
+    assert!(direct.span("open").is_some(), "{direct}");
+    handle.stop();
+}
