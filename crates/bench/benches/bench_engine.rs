@@ -133,17 +133,17 @@ fn bench_engine_batch_h2(c: &mut Criterion) {
     group.finish();
 }
 
-/// The flat struct-of-arrays forward pass against the recursive tree
-/// evaluator, on the same compiled lineage (the seeded 3×3 unsafe-block
-/// preset). Both rows return the same `Rational` bit-for-bit — only the
-/// traversal differs: dense slices and packed children vs pointer-chased
-/// `Box`ed nodes.
+/// The flat forward kernel against the reference evaluator, on the same
+/// compiled lineage (the seeded 3×3 unsafe-block preset). Both rows walk
+/// the same gate arrays and return the same `Rational` bit-for-bit — only
+/// the arithmetic differs: slot weights resolved once and machine-word
+/// lanes vs one weight lookup per gate and bignum `Rational`s throughout.
 fn bench_flat_vs_tree(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0xA55E55);
     let (q, tid) = unsafe_block_preset(&mut rng, 2, 3);
     let lin = lineage(&q, &tid);
     let tree = Circuit::compile(&lin.cnf);
-    let flat = tree.flatten();
+    let flat = tree.clone().flatten();
     let w = lin.vars.weights();
     assert_eq!(flat.eval_exact(w), tree.evaluate(w));
     let mut group = c.benchmark_group("flat_vs_tree_unsafe_3x3");

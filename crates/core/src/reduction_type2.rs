@@ -147,7 +147,7 @@ pub fn mobius_formula_probability(
                 .collect()
         })
         .collect();
-    // All cells are compiled; flatten the frozen pool once, then price it
+    // All cells are compiled; take the frozen pool's flat form, then price it
     // under *every* (u, v) cell's probabilities in one batch-kernel pass —
     // each Möbius cell is one lane of the gate walk.
     let flat = compiler.finish_flat();

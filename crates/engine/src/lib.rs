@@ -125,10 +125,9 @@ impl CacheStats {
 
 /// One resident circuit of a cache shard.
 ///
-/// Residents are kept in flat struct-of-arrays form ([`FlatCircuit`]):
-/// smaller per-entry footprint than the pointer-y compile-time tree (no
-/// per-`Product` child vector), and already in the layout every
-/// evaluation path wants.
+/// Residents are kept in flat struct-of-arrays form ([`FlatCircuit`]),
+/// the form the compiler emits and every evaluation path reads: no
+/// per-`Product` child vector.
 #[derive(Debug)]
 struct CacheEntry {
     circuit: Arc<FlatCircuit>,
@@ -533,9 +532,8 @@ impl Engine {
     }
 
     /// Uncached compilation plus instrumentation: the Shannon/component
-    /// decomposition builds the tree form, which is immediately flattened
-    /// into the struct-of-arrays evaluation form (gate ids and counts are
-    /// preserved 1:1) and the tree is dropped.
+    /// decomposition emits the struct-of-arrays evaluation form directly,
+    /// so nothing is converted or copied after compiling.
     fn compile_fresh(&self, cnf: &Cnf) -> Arc<FlatCircuit> {
         let circuit = Circuit::compile(cnf).flatten();
         self.compiled.inc();
@@ -678,7 +676,8 @@ pub fn probability(q: &BipartiteQuery, tid: &Tid) -> Rational {
 /// ([`Compiled::certify_le_db`]) is answered by the interval lane of the
 /// same pass, falling back to the exact lane only when the enclosure
 /// cannot decide. All `Rational`-returning methods stay bit-identical to
-/// the tree evaluator, which prices the same gate arithmetic.
+/// the reference evaluator (`Circuit::evaluate`), which prices the same
+/// gate arithmetic in plain `Rational`s.
 ///
 /// Deterministic tuples (probability 0 or 1 in the source TID) were folded
 /// away during grounding, so the circuit's variables are exactly the
@@ -781,8 +780,8 @@ impl Compiled {
         &self.vars
     }
 
-    /// Number of circuit gates (flat gate count — identical to the tree
-    /// node count, and the unit of the cache-admission cost).
+    /// Number of circuit gates (flat gate count — the unit of the
+    /// cache-admission cost).
     pub fn node_count(&self) -> usize {
         self.circuit.gate_count()
     }

@@ -4,8 +4,8 @@
 //! [`Compiled`] is stateless — every [`Compiled::evaluate`] call prices
 //! the whole circuit from a weight assignment and discards the interior.
 //! A [`Session`] keeps the interior: it wraps one
-//! [`PricedCircuit`] (persisted per-gate exact values *and* certified
-//! intervals) plus the tuple ↔ variable table of the grounding, so
+//! [`PricedCircuit`] (persisted per-gate exact values) plus the tuple ↔
+//! variable table of the grounding, so
 //! repeated interactions with one compiled query pay only for what
 //! actually changed:
 //!
@@ -67,7 +67,7 @@
 use crate::api::{keyword, parse_prob, parse_tuple, token, REQUEST_KEYS};
 use crate::router::BudgetError;
 use crate::{Compiled, Engine, EvalRequest, RequestParseError, ResponseParseError, TupleWeights};
-use gfomc_arith::{Interval, Rational};
+use gfomc_arith::Rational;
 use gfomc_logic::{PricedCircuit, UpdateStats};
 use gfomc_obs::Trace;
 use gfomc_safety::circuit_cost_estimate;
@@ -235,11 +235,6 @@ impl Session {
     /// `Pr(Q)` under the current weights — a read of the persisted root.
     pub fn value(&self) -> Rational {
         self.priced.value()
-    }
-
-    /// The certified interval enclosure of the root.
-    pub fn interval(&self) -> Interval {
-        self.priced.interval()
     }
 
     /// Gate count of the underlying circuit (the `of` denominator in

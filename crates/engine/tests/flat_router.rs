@@ -10,8 +10,8 @@
 //!   first principles (`is_safe` → lifted; otherwise the refined cost
 //!   bound against the budget — neither ever looks at a flat circuit);
 //! * on every exact route the reported probability is bit-identical to
-//!   an independently compiled **tree** circuit evaluated by the
-//!   original recursive evaluator.
+//!   an independently compiled circuit evaluated by the plain-`Rational`
+//!   reference evaluator (`Circuit::evaluate`).
 
 use gfomc_engine::workload::{random_block_tid, random_query, unsafe_block_preset, SafetyTarget};
 use gfomc_engine::{Budget, Engine, Route};

@@ -17,55 +17,36 @@
 //! manipulation, and no re-canonicalization. Compilation is
 //! weight-independent: the branching order uses [`Cnf::branching_var`], the
 //! same heuristic as the legacy counter, so the two back-ends explore the
-//! same cofactors and can share one [`CnfInterner`] table.
+//! same cofactors.
 //!
-//! Every production evaluation flattens the circuit first
-//! ([`Circuit::flatten`], [`Compiler::finish_flat`]) and runs the one
-//! forward gate kernel of [`crate::flat`]. The evaluators here —
-//! [`Circuit::evaluate`] and [`Compiler::evaluate_all`] — are kept only as
-//! an independent reference for tests and benchmarks, next to
-//! [`crate::wmc()`] and [`crate::wmc_brute_force`].
+//! There is one circuit representation: the compiler appends each gate
+//! straight into the struct-of-arrays form of [`crate::flat`], assigning
+//! slots to distinct variables in order of first use, and
+//! [`Circuit::flatten`] / [`Compiler::finish_flat`] hand those arrays over
+//! as they are. Every production evaluation runs the one forward gate
+//! kernel of [`crate::flat`] on them. The evaluators here —
+//! [`Circuit::evaluate`] and [`Compiler::evaluate_all`] — loop over the
+//! same arrays in plain [`Rational`]s and are kept only as an independent
+//! reference for tests and benchmarks, next to [`crate::wmc()`] and
+//! [`crate::wmc_brute_force`].
 
 use crate::cnf::{Cnf, Var};
+use crate::flat::{FlatCircuit, Op, NO_SLOT};
 use crate::intern::{CnfId, CnfInterner};
 use crate::wmc::WeightFn;
 use gfomc_arith::Rational;
 use std::collections::HashMap;
 
-/// Index of a node in a [`Circuit`] or [`Compiler`] pool.
+/// Index of a gate in a [`Circuit`] or [`Compiler`] pool.
 ///
 /// Children always precede parents, so a single forward pass over the pool
-/// evaluates every node bottom-up.
+/// evaluates every gate bottom-up.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
-/// One gate of the arithmetic circuit.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Node {
-    /// The constant `1` (the formula `⊤`).
-    True,
-    /// The constant `0` (the formula `⊥`).
-    False,
-    /// A single positive literal: evaluates to `w(v)`.
-    Leaf(Var),
-    /// Decomposable conjunction: variable-disjoint children, value is the
-    /// product of child values (Theorem 3.4's factorization as a gate).
-    Product(Vec<NodeId>),
-    /// Shannon split on `var`: `w(var)·hi + (1 − w(var))·lo`. Valid for
-    /// every `w(var) ∈ [0, 1]`, including the deterministic endpoints.
-    Decision {
-        /// The split variable.
-        var: Var,
-        /// The `var := true` cofactor.
-        hi: NodeId,
-        /// The `var := false` cofactor.
-        lo: NodeId,
-    },
-}
-
-/// Node id 0: the constant `⊥`.
+/// Gate id 0: the constant `⊥`.
 const FALSE_ID: NodeId = NodeId(0);
-/// Node id 1: the constant `⊤`.
+/// Gate id 1: the constant `⊤`.
 const TRUE_ID: NodeId = NodeId(1);
 
 /// Compiles CNFs into a growing multi-rooted circuit pool.
@@ -74,12 +55,17 @@ const TRUE_ID: NodeId = NodeId(1);
 /// [`Compiler::compile`] calls, so formulas sharing cofactors (e.g. the
 /// `Q_αβ` cell family of the Type-II machinery) share sub-circuits. All
 /// formulas compiled by one `Compiler` must use a common variable
-/// namespace.
+/// namespace. Gates are appended straight into the flat arrays that
+/// [`Compiler::finish_flat`] hands over.
 #[derive(Clone, Debug)]
 pub struct Compiler {
     interner: CnfInterner,
     memo: HashMap<CnfId, NodeId>,
-    nodes: Vec<Node>,
+    flat: FlatCircuit,
+    /// Distinct variable → slot of `flat.vars`, assigned at first use.
+    slot_of: HashMap<Var, u32>,
+    /// Child ids of the products under construction, innermost last.
+    kids: Vec<u32>,
 }
 
 impl Default for Compiler {
@@ -91,18 +77,12 @@ impl Default for Compiler {
 impl Compiler {
     /// An empty compiler (pool holds only the two constants).
     pub fn new() -> Self {
-        Compiler::with_interner(CnfInterner::new())
-    }
-
-    /// A compiler reusing an existing intern table — e.g. one recovered
-    /// from a [`crate::wmc::ModelCounter`] via
-    /// [`crate::wmc::ModelCounter::into_interner`], so that cofactors
-    /// canonicalized by the legacy path are not re-hashed here.
-    pub fn with_interner(interner: CnfInterner) -> Self {
         Compiler {
-            interner,
+            interner: CnfInterner::new(),
             memo: HashMap::new(),
-            nodes: vec![Node::False, Node::True],
+            flat: FlatCircuit::constants(),
+            slot_of: HashMap::new(),
+            kids: Vec::new(),
         }
     }
 
@@ -120,39 +100,47 @@ impl Compiler {
             return n;
         }
         let comps = f.components();
-        let node = if comps.len() > 1 {
-            let kids: Vec<NodeId> = comps.iter().map(|c| self.compile(c)).collect();
-            Node::Product(kids)
+        let n = if comps.len() > 1 {
+            let base = self.kids.len();
+            for c in &comps {
+                let k = self.compile(c);
+                self.kids.push(k.0);
+            }
+            let n = self
+                .flat
+                .push_gate(Op::Product, NO_SLOT, &self.kids[base..]);
+            self.kids.truncate(base);
+            n
         } else {
             let v = f.branching_var().expect("non-constant CNF has variables");
             // A lone unit clause compiles to a leaf: Pr = w(v).
             if f.len() == 1 && f.clauses()[0].len() == 1 {
-                Node::Leaf(v)
+                let slot = self.slot(v);
+                self.flat.push_gate(Op::Leaf, slot, &[])
             } else {
                 let hi = self.compile(&f.restrict(v, true));
                 let lo = self.compile(&f.restrict(v, false));
-                Node::Decision { var: v, hi, lo }
+                let slot = self.slot(v);
+                self.flat.push_gate(Op::Decision, slot, &[hi.0, lo.0])
             }
         };
-        let n = self.push(node);
+        let n = NodeId(n);
         self.memo.insert(id, n);
         n
     }
 
-    fn push(&mut self, node: Node) -> NodeId {
-        let n = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        n
-    }
-
-    /// The node pool (children precede parents).
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+    /// The slot of `v`, appending it to the slot table on first use.
+    fn slot(&mut self, v: Var) -> u32 {
+        let vars = &mut self.flat.vars;
+        *self.slot_of.entry(v).or_insert_with(|| {
+            vars.push(v);
+            (vars.len() - 1) as u32
+        })
     }
 
     /// Total pool size, including the two constants.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.flat.gate_count()
     }
 
     /// Evaluates **every** pooled gate under `w` in one bottom-up pass.
@@ -163,61 +151,17 @@ impl Compiler {
     /// sub-circuits evaluated once.
     pub fn evaluate_all<W: WeightFn>(&self, w: &W) -> Valuation {
         Valuation {
-            values: evaluate_pool(&self.nodes, w),
+            values: evaluate_pool(&self.flat, w),
         }
     }
 
-    /// Extracts the self-contained sub-circuit rooted at `root` (gates are
-    /// renumbered; unreachable pool nodes are dropped).
-    pub fn extract(&self, root: NodeId) -> Circuit {
-        // Iterative post-order DFS to keep child-before-parent ordering.
-        let mut renumber: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut nodes: Vec<Node> = vec![Node::False, Node::True];
-        renumber.insert(FALSE_ID, FALSE_ID);
-        renumber.insert(TRUE_ID, TRUE_ID);
-        let mut stack = vec![(root, false)];
-        while let Some((n, expanded)) = stack.pop() {
-            if renumber.contains_key(&n) {
-                continue;
-            }
-            let node = &self.nodes[n.0 as usize];
-            if !expanded {
-                stack.push((n, true));
-                match node {
-                    Node::Product(kids) => stack.extend(kids.iter().map(|&k| (k, false))),
-                    Node::Decision { hi, lo, .. } => {
-                        stack.push((*hi, false));
-                        stack.push((*lo, false));
-                    }
-                    _ => {}
-                }
-            } else {
-                let remapped = match node {
-                    Node::Product(kids) => {
-                        Node::Product(kids.iter().map(|k| renumber[k]).collect())
-                    }
-                    Node::Decision { var, hi, lo } => Node::Decision {
-                        var: *var,
-                        hi: renumber[hi],
-                        lo: renumber[lo],
-                    },
-                    other => other.clone(),
-                };
-                let new_id = NodeId(nodes.len() as u32);
-                nodes.push(remapped);
-                renumber.insert(n, new_id);
-            }
-        }
-        Circuit {
-            nodes,
-            root: renumber[&root],
-        }
-    }
-
-    /// Consumes the compiler, releasing its intern table for reuse by
-    /// another back-end.
-    pub fn into_interner(self) -> CnfInterner {
-        self.interner
+    /// Hands over the compiler's entire multi-rooted pool, ids preserved:
+    /// `NodeId`s returned by [`Compiler::compile`] remain valid gate ids
+    /// of the result (the nominal root is the last gate; use
+    /// [`FlatCircuit::evaluate_all_batch`] and index by compile-time ids).
+    pub fn finish_flat(mut self) -> FlatCircuit {
+        self.flat.root = (self.flat.gate_count() - 1) as u32;
+        self.flat
     }
 }
 
@@ -237,13 +181,12 @@ impl Valuation {
 
 /// A compiled, self-contained arithmetic circuit for one formula.
 ///
-/// Obtained from [`Circuit::compile`] (one-shot) or [`Compiler::extract`]
-/// (from a shared pool). Evaluation under any weight function is one
-/// bottom-up pass — `Pr(F, w)` in time linear in the circuit size.
+/// Obtained from [`Circuit::compile`]. Evaluation under any weight
+/// function is one bottom-up pass — `Pr(F, w)` in time linear in the
+/// circuit size.
 #[derive(Clone, Debug)]
 pub struct Circuit {
-    nodes: Vec<Node>,
-    root: NodeId,
+    flat: FlatCircuit,
 }
 
 impl Circuit {
@@ -251,69 +194,69 @@ impl Circuit {
     pub fn compile(f: &Cnf) -> Circuit {
         let mut c = Compiler::new();
         let root = c.compile(f);
-        Circuit {
-            nodes: c.nodes,
-            root,
-        }
+        c.flat.root = root.0;
+        Circuit { flat: c.flat }
+    }
+
+    /// Hands over the circuit's struct-of-arrays evaluation form (the
+    /// gates the compiler emitted, as they are).
+    pub fn flatten(self) -> FlatCircuit {
+        self.flat
     }
 
     /// `Pr(F, w)`: evaluates the circuit bottom-up under `w`.
     pub fn evaluate<W: WeightFn>(&self, w: &W) -> Rational {
-        evaluate_pool(&self.nodes, w).swap_remove(self.root.0 as usize)
+        evaluate_pool(&self.flat, w).swap_remove(self.flat.root() as usize)
     }
 
     /// The root gate.
     pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// The gates, children before parents.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        NodeId(self.flat.root())
     }
 
     /// Number of gates (including the two constants).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.flat.gate_count()
     }
 
     /// Number of Shannon-split gates — the compiled analogue of the legacy
     /// counter's `branch_count` instrumentation.
     pub fn decision_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Decision { .. }))
-            .count()
+        self.flat.decision_count()
     }
 }
 
-/// Bottom-up evaluation of a child-before-parent node pool.
-fn evaluate_pool<W: WeightFn>(nodes: &[Node], w: &W) -> Vec<Rational> {
-    let mut values = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let val = match node {
-            Node::True => Rational::one(),
-            Node::False => Rational::zero(),
-            Node::Leaf(v) => {
-                let p = w.weight(*v);
-                assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
-                p
-            }
-            Node::Product(kids) => {
+/// The reference evaluator: every gate in plain [`Rational`]s, one weight
+/// lookup per leaf and per decision. It shares no code with the lane
+/// kernel of [`crate::flat`], so it checks that kernel's arithmetic.
+fn evaluate_pool<W: WeightFn>(flat: &FlatCircuit, w: &W) -> Vec<Rational> {
+    let mut values: Vec<Rational> = Vec::with_capacity(flat.gate_count());
+    for g in 0..flat.gate_count() {
+        let weight = || {
+            let v = flat.vars()[flat.var_slot[g] as usize];
+            let p = w.weight(v);
+            assert!(p.is_probability(), "weight out of [0,1] for {v:?}");
+            p
+        };
+        let val = match flat.ops[g] {
+            Op::True => Rational::one(),
+            Op::False => Rational::zero(),
+            Op::Leaf => weight(),
+            Op::Product => {
                 let mut acc = Rational::one();
-                for k in kids {
-                    acc = &acc * &values[k.0 as usize];
+                for &k in flat.kids(g) {
+                    acc = &acc * &values[k as usize];
                     if acc.is_zero() {
                         break;
                     }
                 }
                 acc
             }
-            Node::Decision { var, hi, lo } => {
-                let p = w.weight(*var);
-                assert!(p.is_probability(), "weight out of [0,1] for {var:?}");
-                let hi = &values[hi.0 as usize];
-                let lo = &values[lo.0 as usize];
+            Op::Decision => {
+                let p = weight();
+                let kids = flat.kids(g);
+                let hi = &values[kids[0] as usize];
+                let lo = &values[kids[1] as usize];
                 &(&p * hi) + &(&p.complement() * lo)
             }
         };
@@ -411,11 +354,10 @@ mod tests {
     #[test]
     fn component_split_compiles_to_product() {
         let f = Cnf::new([cl(&[1, 2]), cl(&[3, 4])]);
-        let c = Circuit::compile(&f);
-        assert!(matches!(
-            c.nodes()[c.root().0 as usize],
-            Node::Product(ref kids) if kids.len() == 2
-        ));
+        let flat = Circuit::compile(&f).flatten();
+        let root = flat.root();
+        assert_eq!(flat.op(root), Op::Product);
+        assert_eq!(flat.kids(root as usize).len(), 2);
     }
 
     #[test]
@@ -436,37 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn extract_is_self_contained() {
-        let mut comp = Compiler::new();
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let g = Cnf::new([cl(&[4, 5])]);
-        let rf = comp.compile(&f);
-        let _rg = comp.compile(&g);
-        let circuit = comp.extract(rf);
-        // The extracted circuit drops g's gates…
-        assert!(circuit.node_count() < comp.node_count());
-        // …and still evaluates f correctly.
-        assert_eq!(circuit.evaluate(&half()), r(5, 8));
-    }
-
-    #[test]
     fn decision_count_matches_structure() {
         let f = Cnf::new([cl(&[1, 2])]);
         let c = Circuit::compile(&f);
         assert_eq!(c.decision_count(), 1);
-    }
-
-    #[test]
-    fn interner_handoff_between_backends() {
-        // A counter's intern table continues serving the compiler.
-        let w = half();
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
-        let mut mc = crate::wmc::ModelCounter::new(&w);
-        let p = mc.probability(&f);
-        let interner = mc.into_interner();
-        assert!(!interner.is_empty());
-        let mut comp = Compiler::with_interner(interner);
-        let root = comp.compile(&f);
-        assert_eq!(comp.evaluate_all(&w).value(root), &p);
     }
 }

@@ -1,11 +1,8 @@
 //! Flat struct-of-arrays circuits and the one forward gate kernel.
 //!
-//! The pointer-y [`Node`] tree of [`crate::circuit`] is the *compilation*
-//! representation: easy to grow, memoize, and extract. It is a poor
-//! *evaluation* representation — every `Product` owns a heap
-//! `Vec<NodeId>`, every gate visit chases it, and every leaf and decision
-//! re-queries the weight function (a hash lookup plus a `Rational` clone
-//! per gate per weighting). [`FlatCircuit`] is the evaluation form the
+//! [`FlatCircuit`] is the only circuit representation: the compiler of
+//! [`crate::circuit`] appends each gate straight into these arrays, and
+//! every evaluation runs over them. The layout is the one the
 //! compile-once / evaluate-many workloads of the paper's §3 block
 //! constructions deserve:
 //!
@@ -26,21 +23,21 @@
 //!   ([`Interval`], certified outward-rounded `f64`) answers comparisons
 //!   ([`FlatCircuit::le_exact`]) and reruns the exact lane only when its
 //!   enclosure straddles the threshold. Single evaluation is the pass
-//!   with one lane, and [`crate::priced::PricedCircuit`] builds its state
-//!   with the pass and re-prices single gates with the step.
+//!   with one lane, and [`crate::priced::PricedCircuit`] builds its exact
+//!   state with the pass and re-prices single gates with the step.
 //!
 //! Exactness contract: for every circuit and every weight function,
-//! `flat.eval_exact(w) == tree.evaluate(w) == wmc_brute_force(f, w)`
+//! `flat.eval_exact(w) == circuit.evaluate(w) == wmc_brute_force(f, w)`
 //! (`Rational` equality, i.e. bit identity in lowest terms) — enforced by
-//! `tests/flat_suite.rs` and the engine's property suites. The tree
-//! evaluator of [`crate::circuit`] is kept only as that reference.
+//! `tests/flat_suite.rs` and the engine's property suites. The plain
+//! `Rational` evaluator of [`crate::circuit`] is kept only as that
+//! reference.
 
-use crate::circuit::{Circuit, Compiler, Node, Valuation};
+use crate::circuit::Valuation;
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
 use gfomc_arith::{Certifies, Interval, Rat64, Rational};
 use gfomc_pool::WorkerPool;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -266,8 +263,10 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// A flat, topologically ordered, struct-of-arrays arithmetic circuit.
 ///
-/// Produced by [`Circuit::flatten`] (single root) or
-/// [`Compiler::finish_flat`] (whole multi-rooted pool, ids preserved).
+/// Emitted gate by gate by the [`Compiler`](crate::circuit::Compiler) and
+/// handed over by [`Circuit::flatten`](crate::circuit::Circuit::flatten)
+/// (single root) or [`Compiler::finish_flat`](crate::circuit::Compiler::finish_flat)
+/// (whole multi-rooted pool, ids preserved).
 /// Gate ids are dense `u32`s with children before parents; the layout is
 /// four parallel slices plus one packed child vector — no per-gate heap
 /// allocation:
@@ -284,56 +283,34 @@ pub struct FlatCircuit {
     off: Vec<u32>,
     len: Vec<u32>,
     children: Vec<u32>,
-    vars: Vec<Var>,
-    root: u32,
+    pub(crate) vars: Vec<Var>,
+    pub(crate) root: u32,
 }
 
 impl FlatCircuit {
-    fn from_pool(nodes: &[Node], root: u32) -> FlatCircuit {
-        let n = nodes.len();
-        let mut ops = Vec::with_capacity(n);
-        let mut var_slot = Vec::with_capacity(n);
-        let mut off = Vec::with_capacity(n);
-        let mut len = Vec::with_capacity(n);
-        let mut children = Vec::new();
-        let mut vars: Vec<Var> = Vec::new();
-        let mut slot_of: HashMap<Var, u32> = HashMap::new();
-        let intern = |v: Var, vars: &mut Vec<Var>, slot_of: &mut HashMap<Var, u32>| {
-            *slot_of.entry(v).or_insert_with(|| {
-                vars.push(v);
-                (vars.len() - 1) as u32
-            })
-        };
-        for node in nodes {
-            let start = children.len() as u32;
-            let (op, slot) = match node {
-                Node::False => (Op::False, NO_SLOT),
-                Node::True => (Op::True, NO_SLOT),
-                Node::Leaf(v) => (Op::Leaf, intern(*v, &mut vars, &mut slot_of)),
-                Node::Product(kids) => {
-                    children.extend(kids.iter().map(|k| k.0));
-                    (Op::Product, NO_SLOT)
-                }
-                Node::Decision { var, hi, lo } => {
-                    children.push(hi.0);
-                    children.push(lo.0);
-                    (Op::Decision, intern(*var, &mut vars, &mut slot_of))
-                }
-            };
-            ops.push(op);
-            var_slot.push(slot);
-            off.push(start);
-            len.push(children.len() as u32 - start);
-        }
+    /// The pool holding only the two constants, ids 0 (`⊥`) and 1 (`⊤`) —
+    /// where the compiler starts emitting.
+    pub(crate) fn constants() -> FlatCircuit {
         FlatCircuit {
-            ops,
-            var_slot,
-            off,
-            len,
-            children,
-            vars,
-            root,
+            ops: vec![Op::False, Op::True],
+            var_slot: vec![NO_SLOT; 2],
+            off: vec![0; 2],
+            len: vec![0; 2],
+            children: Vec::new(),
+            vars: Vec::new(),
+            root: 0,
         }
+    }
+
+    /// Appends one gate (children already emitted) and returns its id.
+    pub(crate) fn push_gate(&mut self, op: Op, slot: u32, kids: &[u32]) -> u32 {
+        let g = self.ops.len() as u32;
+        self.ops.push(op);
+        self.var_slot.push(slot);
+        self.off.push(self.children.len() as u32);
+        self.len.push(kids.len() as u32);
+        self.children.extend_from_slice(kids);
+        g
     }
 
     /// Number of gates (including the two constants) — the unit of the
@@ -444,7 +421,8 @@ impl FlatCircuit {
     }
 
     /// `Pr(F, w)` exactly, reusing the arena's slabs across weightings.
-    /// Bit-identical to [`Circuit::evaluate`] on the tree form; only the
+    /// Bit-identical to the reference
+    /// [`Circuit::evaluate`](crate::circuit::Circuit::evaluate); only the
     /// root value is materialized as a [`Rational`] — interior gates stay
     /// in the hybrid machine-word lane.
     pub fn eval_exact_with<W: WeightFn>(&self, w: &W, arena: &mut EvalArena) -> Rational {
@@ -511,8 +489,9 @@ impl FlatCircuit {
     /// Evaluates **every** gate exactly under each weighting of the batch
     /// — the pool form behind the lifted inclusion–exclusion pool and the
     /// Type-II Möbius cells: one multi-rooted pool built by
-    /// [`Compiler::finish_flat`], `k` weightings, every root priced (ids
-    /// are preserved, so `NodeId`s returned by [`Compiler::compile`] index
+    /// [`Compiler::finish_flat`](crate::circuit::Compiler::finish_flat), `k`
+    /// weightings, every root priced (ids are preserved, so `NodeId`s
+    /// returned by [`Compiler::compile`](crate::circuit::Compiler::compile) index
     /// each result).
     pub fn evaluate_all_batch<W: WeightFn>(&self, ws: &[W]) -> Vec<Valuation> {
         let mut out = Vec::with_capacity(ws.len());
@@ -594,7 +573,7 @@ impl FlatCircuit {
     /// counting pass, one prefix sum, one scatter — no per-gate
     /// allocation). Each edge of `children` appears exactly once, so
     /// `rev.edge_count() == children.len()`; a gate referenced twice by
-    /// the same parent (a `Decision` with `hi == lo` after extraction)
+    /// the same parent (a `Decision` with `hi == lo`)
     /// lists that parent twice, mirroring the forward multiplicity.
     pub fn reverse_topology(&self) -> ReverseTopology {
         let n = self.ops.len();
@@ -649,30 +628,13 @@ impl ReverseTopology {
     }
 }
 
-impl Circuit {
-    /// Flattens a self-contained circuit into its struct-of-arrays
-    /// evaluation form. Gate ids and the gate count are preserved 1:1.
-    pub fn flatten(&self) -> FlatCircuit {
-        FlatCircuit::from_pool(self.nodes(), self.root().0)
-    }
-}
-
-impl Compiler {
-    /// Flattens the compiler's entire multi-rooted pool, preserving ids —
-    /// `NodeId`s handed out by [`Compiler::compile`] remain valid gate
-    /// ids of the result (the nominal root is the last gate; use
-    /// [`FlatCircuit::evaluate_all_batch`] and index by compile-time ids).
-    pub fn finish_flat(&self) -> FlatCircuit {
-        let root = (self.node_count() - 1) as u32;
-        FlatCircuit::from_pool(self.nodes(), root)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::{Circuit, Compiler, NodeId};
     use crate::cnf::{Clause, Cnf};
     use crate::wmc::UniformWeight;
+    use std::collections::HashMap;
 
     fn cl(vs: &[u32]) -> Clause {
         Clause::new(vs.iter().map(|&i| Var(i)))
@@ -691,7 +653,7 @@ mod tests {
     fn flatten_preserves_counts_and_values() {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4])]);
         let tree = Circuit::compile(&f);
-        let flat = tree.flatten();
+        let flat = tree.clone().flatten();
         assert_eq!(flat.gate_count(), tree.node_count());
         assert_eq!(flat.decision_count(), tree.decision_count());
         assert_eq!(flat.root(), tree.root().0);
@@ -737,11 +699,12 @@ mod tests {
         let g = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[4])]);
         let rf = comp.compile(&f);
         let rg = comp.compile(&g);
-        let flat = comp.finish_flat();
-        assert_eq!(flat.gate_count(), comp.node_count());
         let w = UniformWeight(Rational::one_half());
-        let flat_vals = evaluate_all(&flat, &w);
         let tree_vals = comp.evaluate_all(&w);
+        let node_count = comp.node_count();
+        let flat = comp.finish_flat();
+        assert_eq!(flat.gate_count(), node_count);
+        let flat_vals = evaluate_all(&flat, &w);
         assert_eq!(flat_vals.value(rf), tree_vals.value(rf));
         assert_eq!(flat_vals.value(rg), tree_vals.value(rg));
     }
@@ -795,25 +758,47 @@ mod tests {
             assert_eq!(vals.value(rg), serial.value(rg));
         }
     }
+    /// The `rows × cols` grid: `x(i,j) ∨ x(i,j+1)` and `x(i,j) ∨ x(i+1,j)`
+    /// with `x(i,j) = Var(i·cols + j)`.
+    fn grid_cnf(rows: u32, cols: u32) -> Cnf {
+        let x = |i: u32, j: u32| i * cols + j;
+        let mut clauses = Vec::new();
+        for i in 0..rows {
+            for j in 0..cols {
+                if j + 1 < cols {
+                    clauses.push(cl(&[x(i, j), x(i, j + 1)]));
+                }
+                if i + 1 < rows {
+                    clauses.push(cl(&[x(i, j), x(i + 1, j)]));
+                }
+            }
+        }
+        Cnf::new(clauses)
+    }
+
     #[test]
     fn batch_chunking_is_value_neutral() {
-        // A batch wide enough to split into several kernel chunks must
-        // still match the serial loop exactly (chunk boundary coverage).
-        let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
+        // The 5×10 grid compiles to 3602 gates, so a chunk holds 72 lanes
+        // and 150 per-variable {0, ½, 1} weightings span three chunks (all
+        // on the machine-word path).
+        let f = grid_cnf(5, 10);
         let flat = Circuit::compile(&f).flatten();
-        let chunk = flat.batch_chunk_lanes();
-        // Force ≥ 3 chunks by shrinking the circuit? The preset circuit is
-        // small, so lanes-per-chunk is large; instead check the arithmetic
-        // around an artificial chunk width of 4 via direct slicing.
-        assert!(chunk >= 1);
-        let weights: Vec<UniformWeight> = (0..=9).map(|k| UniformWeight(r(k, 9))).collect();
+        let weights: Vec<HashMap<Var, Rational>> = (0..150u32)
+            .map(|k| {
+                flat.vars()
+                    .iter()
+                    .map(|&v| (v, r(i64::from((k + 7 * v.0) % 3), 2)))
+                    .collect()
+            })
+            .collect();
+        assert!(weights.len() > 2 * flat.batch_chunk_lanes());
         let mut arena = EvalArena::new();
-        let whole = flat.eval_batch_exact_with(&weights, &mut arena);
-        let mut pieces = Vec::new();
-        for part in weights.chunks(4) {
-            pieces.extend(flat.eval_batch_exact_with(part, &mut arena));
-        }
-        assert_eq!(whole, pieces);
+        let batch = flat.eval_batch_exact_with(&weights, &mut arena);
+        let serial: Vec<Rational> = weights
+            .iter()
+            .map(|w| flat.eval_exact_with(w, &mut arena))
+            .collect();
+        assert_eq!(batch, serial);
     }
 
     #[test]
@@ -825,6 +810,66 @@ mod tests {
         let pool = WorkerPool::new(2);
         for workers in [1usize, 2, 3, 16] {
             assert_eq!(serial, flat.evaluate_batch_on(&pool, &weights, workers));
+        }
+    }
+
+    /// FNV-1a over every gate's `(op, var_slot, kids)`, in gate order.
+    fn structure_fingerprint(flat: &FlatCircuit) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for g in 0..flat.gate_count() {
+            eat(flat.ops[g] as u32);
+            eat(flat.var_slot[g]);
+            eat(flat.kids(g).len() as u32);
+            for &k in flat.kids(g) {
+                eat(k);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn compiled_structure_is_pinned() {
+        // Gate order, child order and slot order of fixed compilations.
+        // The cache's admission cost, the gate counters and pool callers
+        // indexing by compile-time id all depend on them.
+        let chain = Cnf::new((1..9).map(|i| cl(&[i, i + 1])));
+        let clique = Cnf::new((1..=5).flat_map(|i| (i + 1..=5).map(move |j| cl(&[i, j]))));
+        let two = Cnf::new([cl(&[1, 2]), cl(&[3, 4])]);
+        let intro = Cnf::new([cl(&[1, 2]), cl(&[2, 3])]);
+        let pooled = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[4])]);
+        let mut comp = Compiler::new();
+        assert_eq!(comp.compile(&intro), NodeId(5));
+        assert_eq!(comp.compile(&pooled), NodeId(7));
+        let grid = grid_cnf(5, 10);
+        #[rustfmt::skip]
+        let grid_vars = [
+            1, 10, 0, 30, 41, 40, 38, 47, 49, 48, 36, 45, 46, 34, 43, 44, 32, 42, 29, 39, 21,
+            20, 9, 18, 19, 7, 8, 5, 16, 6, 3, 14, 4, 12, 2, 27, 37, 25, 35, 23, 33, 31, 28, 26,
+            24, 22, 17, 15, 13, 11,
+        ];
+        // (circuit, gates, decisions, root, slot order, fingerprint)
+        type Pin<'a> = (FlatCircuit, usize, usize, u32, &'a [u32], u64);
+        #[rustfmt::skip]
+        let cases: [Pin; 6] = [
+            (Circuit::compile(&chain).flatten(), 23, 7, 22, &[7, 9, 8, 5, 6, 3, 4, 1, 2], 0x9651_debd_6683_ed21),
+            (Circuit::compile(&clique).flatten(), 13, 4, 12, &[5, 4, 3, 2, 1], 0x76d8_f2f6_d56b_265f),
+            (Circuit::compile(&two).flatten(), 7, 2, 6, &[2, 1, 4, 3], 0xbfc7_850a_b9f5_c281),
+            (Circuit::compile(&intro).flatten(), 6, 1, 5, &[1, 3, 2], 0x5e84_5824_b1ed_4668),
+            (Circuit::compile(&grid).flatten(), 3602, 1529, 3601, &grid_vars, 0xde23_817c_1abc_681f),
+            (comp.finish_flat(), 8, 1, 7, &[1, 3, 2, 4], 0x85e2_6c12_9ee2_1b87),
+        ];
+        for (i, (flat, gates, decisions, root, vars, fingerprint)) in cases.iter().enumerate() {
+            assert_eq!(flat.gate_count(), *gates, "case {i}");
+            assert_eq!(flat.decision_count(), *decisions, "case {i}");
+            assert_eq!(flat.root(), *root, "case {i}");
+            let got: Vec<u32> = flat.vars().iter().map(|v| v.0).collect();
+            assert_eq!(&got[..], *vars, "case {i}");
+            assert_eq!(structure_fingerprint(flat), *fingerprint, "case {i}");
         }
     }
 }

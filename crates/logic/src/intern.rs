@@ -6,10 +6,7 @@
 //! the entire clause set on every lookup *and* every insert, and clones the
 //! formula into the table. The interner hoists that cost: each distinct
 //! canonical CNF is hashed once when first seen and assigned a dense
-//! [`CnfId`]; all downstream caches key on the copy-free id. A single
-//! interner can be handed from a compiler to a counter (or vice versa) so
-//! the two paths share one table instead of re-canonicalizing each other's
-//! cofactors.
+//! [`CnfId`]; all downstream caches key on the copy-free id.
 
 use crate::cnf::Cnf;
 use std::collections::HashMap;

@@ -12,16 +12,17 @@
 //!   paper's Cook reductions), by Shannon expansion with component
 //!   decomposition and memoization, plus brute-force ground truth;
 //! * [`circuit`] — knowledge compilation of monotone CNFs into d-DNNF-style
-//!   arithmetic circuits, for compile-once / evaluate-many workloads;
-//! * [`flat`] — the struct-of-arrays evaluation form of those circuits
-//!   ([`FlatCircuit`]) and its one forward gate kernel: dense
-//!   topologically ordered gates, packed children, exact and interval
-//!   lanes priced by the same per-gate step;
+//!   arithmetic circuits, for compile-once / evaluate-many workloads; the
+//!   compiler emits the flat form directly, and a plain `Rational`
+//!   evaluator over it is the tests' reference;
+//! * [`flat`] — the one circuit representation ([`FlatCircuit`]) and its
+//!   one forward gate kernel: dense topologically ordered gates, packed
+//!   children, exact and interval lanes priced by the same per-gate step;
 //! * [`priced`] — the stateful layer over [`flat`] ([`PricedCircuit`]):
-//!   persisted per-gate values, reverse topology, dirty-path incremental
+//!   persisted per-gate exact values, reverse topology, dirty-path incremental
 //!   re-pricing on weight updates, and the downward derivative pass
 //!   (∂Pr/∂p per distinct variable in one sweep);
-//! * [`intern`] — canonical-CNF interning shared by both WMC back-ends;
+//! * [`intern`] — canonical-CNF interning used by both WMC back-ends;
 //! * [`decompose`] — the disconnection / distance / migrating-variable
 //!   analysis of Appendix B.
 
@@ -34,7 +35,7 @@ pub mod intern;
 pub mod priced;
 pub mod wmc;
 
-pub use circuit::{Circuit, Compiler, Node, NodeId, Valuation};
+pub use circuit::{Circuit, Compiler, NodeId, Valuation};
 pub use cnf::{Clause, Cnf, Var};
 pub use dnf::Dnf;
 pub use flat::{EvalArena, FlatCircuit, Op, ReverseTopology};

@@ -237,8 +237,8 @@ fn conjunction_of_disjunctions(
         .collect();
     // Evaluate-many: `Pr(∀ b ∈ inner: cell holds at (a,b))` factorizes over
     // `b`, and one bottom-up pass per `b` prices *all* cells at once. The
-    // pool is frozen here, so it flattens once into the struct-of-arrays
-    // form and every pass runs the dense forward loop.
+    // pool is frozen here and handed over in the struct-of-arrays form it
+    // was emitted in, so every pass runs the dense forward loop.
     let flat = compiler.finish_flat();
     let inner: Vec<u32> = match side {
         Side::Left => tid.right_domain().to_vec(),
