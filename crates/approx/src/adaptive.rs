@@ -28,19 +28,24 @@
 //! Two hard guarantees, by construction:
 //!
 //! * the stopper never draws more than the fixed KLM budget
-//!   [`KarpLuby::fpras_samples`]`(ε, δ)` — on instances where it cannot
+//!   [`CnfSampler::fpras_samples`]`(ε, δ)` — on instances where it cannot
 //!   converge early it degrades *exactly* to the fixed path, never worse;
 //! * when it reports [`AdaptiveEstimate::converged`], the outward-rounded
 //!   CI half-width is at most `ε` (as an absolute error on the estimated
 //!   probability).
 //!
-//! Rounds draw from the same chunk-seeded plan as
-//! [`KarpLuby::estimate_seeded`], so adaptive estimates are bit-identical
-//! for every thread count at a fixed seed.
+//! Rounds draw consecutive sample ranges of the same chunk-seeded plan as
+//! [`CnfSampler::estimate_seeded`]: the first round draws
+//! `2 ·` [`SAMPLE_CHUNK`] samples and each later round doubles the total.
+//! Adaptive estimates are therefore bit-identical for every thread count
+//! and pool at a fixed seed.
 
 use crate::estimate::{rational_lower_bound, rational_upper_bound, Estimate};
 use crate::sampler::{validate_unit_open, CnfSampler, KarpLuby, SAMPLE_CHUNK};
 use gfomc_pool::WorkerPool;
+
+/// Sample count of the first round; later rounds double the total.
+const FIRST_ROUND: u64 = 2 * SAMPLE_CHUNK;
 
 /// Parameters of the adaptive stopping rule.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,16 +59,10 @@ pub struct AdaptiveConfig {
     pub seed: u64,
     /// OS threads per round (1 = serial; never changes the estimate).
     pub threads: usize,
-    /// Sample count of the first round (later rounds double). Rounded up
-    /// to a whole number of [`SAMPLE_CHUNK`]s.
-    pub first_round: u64,
-    /// Optional extra cap on top of the fixed KLM budget.
-    pub max_samples: Option<u64>,
 }
 
 impl AdaptiveConfig {
-    /// A config with the default round schedule (512, doubling) on one
-    /// thread.
+    /// A config on one thread.
     pub fn new(epsilon: f64, delta: f64, seed: u64) -> Self {
         validate_unit_open("epsilon", epsilon);
         validate_unit_open("delta", delta);
@@ -72,26 +71,12 @@ impl AdaptiveConfig {
             delta,
             seed,
             threads: 1,
-            first_round: 2 * SAMPLE_CHUNK,
-            max_samples: None,
         }
     }
 
     /// Builder-style override of the thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Builder-style override of the first round's sample count.
-    pub fn with_first_round(mut self, first_round: u64) -> Self {
-        self.first_round = first_round.max(1);
-        self
-    }
-
-    /// Builder-style extra sample cap.
-    pub fn with_max_samples(mut self, cap: u64) -> Self {
-        self.max_samples = Some(cap.max(1));
         self
     }
 }
@@ -106,8 +91,7 @@ pub struct AdaptiveEstimate {
     pub rounds: u32,
     /// True iff the accuracy target fired (as opposed to the budget cap).
     pub converged: bool,
-    /// The sample cap the run was held to — the fixed KLM budget, or the
-    /// configured `max_samples` if smaller.
+    /// The sample cap the run was held to: the fixed KLM budget.
     pub budget: u64,
 }
 
@@ -135,20 +119,11 @@ fn bernstein_half_width(hits: u64, samples: u64, delta_t: f64) -> f64 {
 }
 
 impl KarpLuby {
-    /// Draws in geometrically growing rounds until the outward-rounded
-    /// empirical-Bernstein CI half-width on `Pr(D)` is at most
-    /// `cfg.epsilon`, capped at the fixed KLM budget
-    /// [`KarpLuby::fpras_samples`]`(ε, δ)`.
-    ///
-    /// Bit-identical for every `cfg.threads` at a fixed `cfg.seed`.
-    /// Rounds draw from the process-wide shared [`WorkerPool`].
-    pub fn estimate_adaptive(&self, cfg: &AdaptiveConfig) -> AdaptiveEstimate {
-        self.estimate_adaptive_on(WorkerPool::global(), cfg)
-    }
-
-    /// [`KarpLuby::estimate_adaptive`] on a caller-provided pool — the
-    /// engine's router runs its stopping rounds on the engine's own pool.
-    pub fn estimate_adaptive_on(
+    /// Draws in geometrically growing rounds on up to `cfg.threads`
+    /// workers of `pool` until the outward-rounded empirical-Bernstein CI
+    /// half-width on `Pr(D)` is at most `cfg.epsilon`, capped at the fixed
+    /// KLM budget [`KarpLuby::fpras_samples`]`(ε, δ)`.
+    pub(crate) fn estimate_adaptive_on(
         &self,
         pool: &WorkerPool,
         cfg: &AdaptiveConfig,
@@ -166,20 +141,13 @@ impl KarpLuby {
                 budget: 0,
             };
         }
-        let fixed = self.fpras_samples(cfg.epsilon, cfg.delta);
-        let cap = cfg.max_samples.map_or(fixed, |m| m.min(fixed)).max(1);
+        let cap = self.fpras_samples(cfg.epsilon, cfg.delta).max(1);
         // Conservative rational image of the target: stopping only when the
         // half-width is ≤ a *lower* bound of ε can never overshoot ε.
         let target = rational_lower_bound(cfg.epsilon);
-        let first = cfg
-            .first_round
-            .div_ceil(SAMPLE_CHUNK)
-            .saturating_mul(SAMPLE_CHUNK)
-            .min(cap)
-            .max(1);
         let mut total: u64 = 0;
         let mut hits: u64 = 0;
-        let mut next = first;
+        let mut next = FIRST_ROUND.min(cap);
         let mut rounds: u32 = 0;
         loop {
             rounds += 1;
@@ -204,21 +172,22 @@ impl KarpLuby {
 }
 
 impl CnfSampler {
-    /// Adaptive estimation of `Pr(f)`: the stopper runs on `Pr(¬f)` and the
-    /// result is complemented (absolute accuracy carries over unchanged).
+    /// Adaptive estimation of `Pr(f)` on the process-wide shared
+    /// [`WorkerPool`]: the stopper runs on `Pr(¬f)` and the result is
+    /// complemented (absolute accuracy carries over unchanged).
+    /// Bit-identical for every `cfg.threads` at a fixed `cfg.seed`.
     pub fn estimate_adaptive(&self, cfg: &AdaptiveConfig) -> AdaptiveEstimate {
-        self.karp_luby().estimate_adaptive(cfg).complement()
+        self.estimate_adaptive_on(WorkerPool::global(), cfg)
     }
 
-    /// [`CnfSampler::estimate_adaptive`] on a caller-provided pool.
+    /// [`CnfSampler::estimate_adaptive`] on a caller-provided pool — the
+    /// engine's router runs its stopping rounds on the engine's own pool.
     pub fn estimate_adaptive_on(
         &self,
         pool: &WorkerPool,
         cfg: &AdaptiveConfig,
     ) -> AdaptiveEstimate {
-        self.karp_luby()
-            .estimate_adaptive_on(pool, cfg)
-            .complement()
+        self.kl.estimate_adaptive_on(pool, cfg).complement()
     }
 }
 
@@ -236,10 +205,15 @@ mod tests {
         UniformWeight(Rational::one_half())
     }
 
+    /// One adaptive run on the shared pool.
+    fn adaptive(kl: &KarpLuby, cfg: &AdaptiveConfig) -> AdaptiveEstimate {
+        kl.estimate_adaptive_on(WorkerPool::global(), cfg)
+    }
+
     #[test]
     fn degenerate_formulas_converge_without_sampling() {
         let kl = KarpLuby::new(&Dnf::top(), &half());
-        let a = kl.estimate_adaptive(&AdaptiveConfig::new(0.1, 0.05, 1));
+        let a = adaptive(&kl, &AdaptiveConfig::new(0.1, 0.05, 1));
         assert!(a.converged);
         assert_eq!(a.rounds, 0);
         assert_eq!(a.estimate.samples, 0);
@@ -251,7 +225,7 @@ mod tests {
         let d = Dnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[1, 3]), cl(&[4])]);
         let kl = KarpLuby::new(&d, &half());
         for (eps, delta) in [(0.05, 0.05), (0.02, 0.1), (0.1, 0.01)] {
-            let a = kl.estimate_adaptive(&AdaptiveConfig::new(eps, delta, 9));
+            let a = adaptive(&kl, &AdaptiveConfig::new(eps, delta, 9));
             assert!(
                 a.estimate.samples <= kl.fpras_samples(eps, delta),
                 "ε={eps} δ={delta}: {} > fixed budget",
@@ -266,7 +240,7 @@ mod tests {
         let d = Dnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[1, 3])]);
         let kl = KarpLuby::new(&d, &half());
         let eps = 0.05;
-        let a = kl.estimate_adaptive(&AdaptiveConfig::new(eps, 0.05, 4));
+        let a = adaptive(&kl, &AdaptiveConfig::new(eps, 0.05, 4));
         assert!(a.converged, "easy instance must converge: {a:?}");
         // Full width ≤ 2ε (half-width ≤ ε on each side of the raw point).
         let width = a.estimate.ci.width().to_f64();
@@ -281,7 +255,7 @@ mod tests {
         // exits on a tiny fraction of the fixed budget.
         let d = Dnf::new([cl(&[1, 2])]);
         let kl = KarpLuby::new(&d, &half());
-        let a = kl.estimate_adaptive(&AdaptiveConfig::new(0.05, 0.05, 11));
+        let a = adaptive(&kl, &AdaptiveConfig::new(0.05, 0.05, 11));
         assert!(a.converged);
         assert_eq!(a.estimate.estimate, Rational::from_ints(1, 4));
         assert!(a.estimate.samples * 4 < a.budget, "{a:?}");
@@ -320,7 +294,7 @@ mod tests {
         let kl = KarpLuby::new(&d, &half());
         let mut cfg = AdaptiveConfig::new(0.1, 0.05, 1);
         cfg.delta = f64::NAN;
-        assert!(catch_unwind(AssertUnwindSafe(|| kl.estimate_adaptive(&cfg))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| adaptive(&kl, &cfg))).is_err());
     }
 
     #[test]
@@ -331,15 +305,5 @@ mod tests {
         let base = s.estimate_adaptive(&cfg);
         let own = gfomc_pool::WorkerPool::new(2);
         assert_eq!(base, s.estimate_adaptive_on(&own, &cfg));
-    }
-
-    #[test]
-    fn max_samples_caps_below_the_klm_budget() {
-        let d = Dnf::new([cl(&[1, 2]), cl(&[3, 4]), cl(&[5, 6])]);
-        let kl = KarpLuby::new(&d, &half());
-        let a = kl.estimate_adaptive(&AdaptiveConfig::new(0.001, 0.05, 3).with_max_samples(1_000));
-        assert_eq!(a.budget, 1_000);
-        assert!(a.estimate.samples <= 1_000);
-        assert!(!a.converged, "ε=0.001 cannot converge in 1000 samples");
     }
 }

@@ -16,9 +16,15 @@
 //! 53-bit dyadic draw against exact rational quantities (cumulative term
 //! weights, variable probabilities) folded at construction time into
 //! integer thresholds — one u64 comparison per draw, deciding identically
-//! to the rational comparison, with no per-sample allocation. Under the
-//! workspace's deterministic [`rand`] stand-in, a fixed seed therefore
-//! yields a bit-identical [`Estimate`] on every platform.
+//! to the rational comparison, with no per-sample allocation.
+//!
+//! There is one draw plan, the **chunk-seeded plan** (see
+//! [`SAMPLE_CHUNK`]): samples `0..N` at seed `s` are cut into fixed-size
+//! chunks, and chunk `k` draws from its own RNG stream seeded by
+//! `(s, k)`. Under the workspace's deterministic [`rand`] stand-in the
+//! estimate is therefore a pure function of `(seed, samples, δ)`:
+//! bit-identical on every platform, for every thread count and every
+//! worker pool.
 //!
 //! [`CnfSampler`] adapts the estimator to the workspace's native
 //! representation: the probability of a monotone CNF `F` (a query lineage)
@@ -32,8 +38,7 @@ use gfomc_pool::WorkerPool;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Samples per deterministic chunk of the seeded sampling plan (see
-/// [`KarpLuby::estimate_seeded`]).
+/// Samples per deterministic chunk of the seeded sampling plan.
 ///
 /// A sampling run at seed `s` is partitioned into fixed-size chunks; chunk
 /// `k` draws all of its samples from its own RNG stream seeded with
@@ -78,17 +83,16 @@ fn chunk_seed(seed: u64, chunk: u64) -> u64 {
 /// independent variable probabilities.
 ///
 /// Construction precomputes the term weights and their cumulative sums;
-/// each [`KarpLuby::estimate`] call is then `O(samples · (vars + scan))`
-/// with no allocation beyond one world bitset, reused across every draw
-/// of the call (and, in the chunked plan, across every chunk a worker
-/// executes).
+/// a run of the seeded plan is then `O(samples · (vars + scan))` with no
+/// allocation beyond one world bitset per worker, reused across every
+/// chunk that worker executes.
 ///
 /// Worlds are word-packed: a sampled world is a `[u64]` bitset, one bit
 /// per variable position, and the canonical-term scan runs in whole-word
 /// AND/compare steps against per-term masks instead of per-variable
 /// `bool` loads.
 #[derive(Clone, Debug)]
-pub struct KarpLuby {
+pub(crate) struct KarpLuby {
     /// Position → Bernoulli threshold on the 53-bit dyadic grid:
     /// `u < p ⇔ r < ceil(p·2^53)` for `u = r/2^53`, so each conditional
     /// draw is a single u64 comparison yet decides exactly like the
@@ -122,7 +126,7 @@ fn world_words(n: usize) -> usize {
 impl KarpLuby {
     /// Prepares a sampler for `Pr(d)` under `w`. Weights must be
     /// probabilities; variables not occurring in `d` are never queried.
-    pub fn new<W: WeightFn>(d: &Dnf, w: &W) -> Self {
+    pub(crate) fn new<W: WeightFn>(d: &Dnf, w: &W) -> Self {
         if d.is_true() {
             return KarpLuby::trivial(Rational::one());
         }
@@ -201,18 +205,18 @@ impl KarpLuby {
     }
 
     /// Number of live (nonzero-probability) terms.
-    pub fn term_count(&self) -> usize {
+    pub(crate) fn term_count(&self) -> usize {
         self.terms.len()
     }
 
     /// The union bound `S` the estimator normalizes against.
-    pub fn union_bound(&self) -> &Rational {
+    pub(crate) fn union_bound(&self) -> &Rational {
         &self.total
     }
 
-    /// True iff the formula was degenerate and [`KarpLuby::estimate`] will
-    /// return an exact value without sampling.
-    pub fn is_exact(&self) -> bool {
+    /// True iff the formula was degenerate and estimates are exact values
+    /// drawn from no samples.
+    pub(crate) fn is_exact(&self) -> bool {
         self.exact.is_some()
     }
 
@@ -220,46 +224,27 @@ impl KarpLuby {
     /// `ε` with probability `1 − δ`: `⌈3·m·ln(2/δ)/ε²⌉`. (The indicator
     /// mean is at least `1/m`, so a multiplicative Chernoff bound at
     /// `N ≥ 3·ln(2/δ)/(ε²μ)` suffices; we substitute the worst case.)
-    pub fn fpras_samples(&self, epsilon: f64, delta: f64) -> u64 {
+    pub(crate) fn fpras_samples(&self, epsilon: f64, delta: f64) -> u64 {
         validate_unit_open("epsilon", epsilon);
         validate_unit_open("delta", delta);
         let m = self.terms.len().max(1) as f64;
         (3.0 * m * (2.0 / delta).ln() / (epsilon * epsilon)).ceil() as u64
     }
 
-    /// Draws `samples` Karp–Luby samples and returns the estimate of
-    /// `Pr(D)` with a two-sided Hoeffding interval at confidence `1 − δ`.
+    /// The estimate assembled from a merged hit count: `Ŝ·hits/N` in exact
+    /// arithmetic (the seeded-deterministic point) with a two-sided
+    /// Hoeffding interval at confidence `1 − δ`.
     ///
     /// The interval is conservative (distribution-free): the indicator mean
     /// `μ` satisfies `|hits/N − μ| ≤ √(ln(2/δ)/2N)` with probability at
     /// least `1 − δ`, and the bound is scaled by `S` and rounded outward.
-    pub fn estimate<R: Rng>(&self, rng: &mut R, samples: u64, delta: f64) -> Estimate {
-        validate_unit_open("delta", delta);
-        if let Some(value) = &self.exact {
-            return Estimate::exact(value.clone(), delta);
-        }
-        assert!(samples > 0, "need at least one sample");
-        assert!(samples <= i64::MAX as u64, "sample budget out of range");
-        let mut hits: u64 = 0;
-        let mut world = vec![0u64; world_words(self.thresholds.len())];
-        for _ in 0..samples {
-            if self.draw_hit(rng, &mut world) {
-                hits += 1;
-            }
-        }
-        self.estimate_from_hits(hits, samples, delta)
-    }
-
-    /// The estimate assembled from a merged hit count: `Ŝ·hits/N` in exact
-    /// arithmetic (the seeded-deterministic point) with a two-sided
-    /// Hoeffding interval at confidence `1 − δ`.
     ///
     /// The raw unbiased estimator can overshoot 1 when the union bound is
     /// loose and samples are few; since the target is a probability, the
     /// *reported* point is clamped into [0, 1] (mean clipping — it can only
     /// reduce absolute error). The interval is still centered on the raw
     /// value, which is what the Hoeffding bound speaks about.
-    pub(crate) fn estimate_from_hits(&self, hits: u64, samples: u64, delta: f64) -> Estimate {
+    fn estimate_from_hits(&self, hits: u64, samples: u64, delta: f64) -> Estimate {
         let frac = Rational::from_ints(hits as i64, samples as i64);
         let raw = &self.total * &frac;
         // Hoeffding half-width on μ, scaled by S, rounded outward.
@@ -326,23 +311,16 @@ impl KarpLuby {
     }
 
     /// Merged hit count of samples `from..to` of the seeded sampling plan,
-    /// executed on up to `threads` logical workers of the process-wide
-    /// shared [`WorkerPool`].
+    /// executed on up to `workers` logical workers of `pool`. Workers
+    /// claim chunk indices from a shared cursor (an idle worker steals the
+    /// next pending chunk), so stragglers never serialize a round.
     ///
     /// `from` must sit on a [`SAMPLE_CHUNK`] boundary (rounds of the
     /// adaptive stopper and whole runs both do), unless the range is
     /// empty. The result is the integer sum of per-chunk hit counts, so it
-    /// is **bit-identical for every thread count** — parallelism changes
-    /// only who executes a chunk, never what the chunk draws.
-    pub fn hits_in_range(&self, seed: u64, from: u64, to: u64, threads: usize) -> u64 {
-        self.hits_in_range_on(WorkerPool::global(), seed, from, to, threads)
-    }
-
-    /// [`KarpLuby::hits_in_range`] on a caller-provided pool — the engine
-    /// routes its sampling through its own shared pool. Workers claim
-    /// chunk indices from a shared cursor (an idle worker steals the next
-    /// pending chunk), so stragglers never serialize a round.
-    pub fn hits_in_range_on(
+    /// is **bit-identical for every worker count and pool** — parallelism
+    /// changes only who executes a chunk, never what the chunk draws.
+    pub(crate) fn hits_in_range_on(
         &self,
         pool: &WorkerPool,
         seed: u64,
@@ -391,23 +369,12 @@ impl KarpLuby {
         hits.load(Ordering::Relaxed)
     }
 
-    /// The parallel, seed-addressed form of [`KarpLuby::estimate`]: draws
-    /// `samples` samples of the chunked plan for `seed` across up to
-    /// `threads` workers of the process-wide shared [`WorkerPool`]
-    /// (1 = serial).
-    ///
-    /// Determinism guarantee: for a fixed `(seed, samples, delta)` the
-    /// returned [`Estimate`] is bit-identical for **every** thread count —
-    /// see [`SAMPLE_CHUNK`]. The draw sequence differs from the
-    /// single-stream [`KarpLuby::estimate`], so the two entry points give
-    /// different (equally valid) estimates for the same seed.
-    pub fn estimate_seeded(&self, seed: u64, samples: u64, delta: f64, threads: usize) -> Estimate {
-        self.estimate_seeded_on(WorkerPool::global(), seed, samples, delta, threads)
-    }
-
-    /// [`KarpLuby::estimate_seeded`] on a caller-provided pool. The pool
-    /// choice can never change the estimate — only the wall-clock.
-    pub fn estimate_seeded_on(
+    /// Draws samples `0..samples` of the chunked plan for `seed` on up to
+    /// `workers` workers of `pool` and returns the estimate of `Pr(D)`
+    /// (see [`KarpLuby::estimate_from_hits`]). For a fixed
+    /// `(seed, samples, delta)` the result is bit-identical for every
+    /// worker count and pool — see [`SAMPLE_CHUNK`].
+    pub(crate) fn estimate_seeded_on(
         &self,
         pool: &WorkerPool,
         seed: u64,
@@ -423,12 +390,6 @@ impl KarpLuby {
         assert!(samples <= i64::MAX as u64, "sample budget out of range");
         let hits = self.hits_in_range_on(pool, seed, 0, samples, workers);
         self.estimate_from_hits(hits, samples, delta)
-    }
-
-    /// The (ε, δ)-FPRAS entry point: draws [`KarpLuby::fpras_samples`]
-    /// samples in one go.
-    pub fn estimate_fpras<R: Rng>(&self, rng: &mut R, epsilon: f64, delta: f64) -> Estimate {
-        self.estimate(rng, self.fpras_samples(epsilon, delta), delta)
     }
 
     /// Importance-samples a term index proportionally to its weight: a
@@ -531,7 +492,7 @@ fn dyadic_threshold(p: &Rational) -> u64 {
 /// applies to `Pr(F)` directly.
 #[derive(Clone, Debug)]
 pub struct CnfSampler {
-    kl: KarpLuby,
+    pub(crate) kl: KarpLuby,
 }
 
 impl CnfSampler {
@@ -581,23 +542,18 @@ impl CnfSampler {
         self.kl.fpras_samples(epsilon, delta)
     }
 
-    /// Estimates `Pr(f)` from `samples` draws, with a two-sided Hoeffding
-    /// interval at confidence `1 − δ`.
-    pub fn estimate<R: Rng>(&self, rng: &mut R, samples: u64, delta: f64) -> Estimate {
-        self.kl.estimate(rng, samples, delta).complement()
-    }
-
-    /// The parallel, seed-addressed form of [`CnfSampler::estimate`]:
-    /// bit-identical for every thread count at a fixed
-    /// `(seed, samples, delta)` — see [`KarpLuby::estimate_seeded`].
+    /// Estimates `Pr(f)` from samples `0..samples` of the chunk-seeded
+    /// plan for `seed`, with a two-sided Hoeffding interval at confidence
+    /// `1 − δ`, on up to `threads` workers of the process-wide shared
+    /// [`WorkerPool`] (1 = serial). Bit-identical for every thread count
+    /// at a fixed `(seed, samples, delta)` — see [`SAMPLE_CHUNK`].
     pub fn estimate_seeded(&self, seed: u64, samples: u64, delta: f64, threads: usize) -> Estimate {
-        self.kl
-            .estimate_seeded(seed, samples, delta, threads)
-            .complement()
+        self.estimate_seeded_on(WorkerPool::global(), seed, samples, delta, threads)
     }
 
     /// [`CnfSampler::estimate_seeded`] on a caller-provided pool — the
-    /// engine's router fans sampling across the engine's own shared pool.
+    /// engine's router fans sampling across the engine's own pool. The
+    /// pool choice can never change the estimate, only the wall-clock.
     pub fn estimate_seeded_on(
         &self,
         pool: &WorkerPool,
@@ -610,23 +566,12 @@ impl CnfSampler {
             .estimate_seeded_on(pool, seed, samples, delta, workers)
             .complement()
     }
-
-    /// The underlying complement-DNF sampler.
-    pub fn karp_luby(&self) -> &KarpLuby {
-        &self.kl
-    }
-
-    /// The (ε, δ)-FPRAS entry point (relative error on `Pr(¬f)`).
-    pub fn estimate_fpras<R: Rng>(&self, rng: &mut R, epsilon: f64, delta: f64) -> Estimate {
-        self.kl.estimate_fpras(rng, epsilon, delta).complement()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gfomc_logic::{wmc_brute_force, Clause, UniformWeight};
-    use rand::{rngs::StdRng, SeedableRng};
     use std::collections::HashMap;
 
     fn cl(vs: &[u32]) -> Clause {
@@ -637,21 +582,33 @@ mod tests {
         UniformWeight(Rational::one_half())
     }
 
+    /// One serial run of the seeded plan on the shared pool.
+    fn seeded(kl: &KarpLuby, seed: u64, samples: u64, delta: f64) -> Estimate {
+        kl.estimate_seeded_on(WorkerPool::global(), seed, samples, delta, 1)
+    }
+
+    /// Samples `from..to` of the seeded plan on the shared pool.
+    fn hits(kl: &KarpLuby, seed: u64, from: u64, to: u64, workers: usize) -> u64 {
+        kl.hits_in_range_on(WorkerPool::global(), seed, from, to, workers)
+    }
+
     #[test]
     fn degenerate_formulas_are_exact() {
-        let mut rng = StdRng::seed_from_u64(1);
         let kl = KarpLuby::new(&Dnf::top(), &half());
         assert!(kl.is_exact());
-        let e = kl.estimate(&mut rng, 100, 0.05);
+        let e = seeded(&kl, 1, 100, 0.05);
         assert!(e.exact);
         assert_eq!(e.estimate, Rational::one());
         let kl = KarpLuby::new(&Dnf::bottom(), &half());
-        assert_eq!(kl.estimate(&mut rng, 100, 0.05).estimate, Rational::zero());
+        assert_eq!(seeded(&kl, 1, 100, 0.05).estimate, Rational::zero());
 
         let s = CnfSampler::new(&Cnf::top(), &half());
-        assert_eq!(s.estimate(&mut rng, 100, 0.05).estimate, Rational::one());
+        assert_eq!(s.estimate_seeded(1, 100, 0.05, 1).estimate, Rational::one());
         let s = CnfSampler::new(&Cnf::bottom(), &half());
-        assert_eq!(s.estimate(&mut rng, 100, 0.05).estimate, Rational::zero());
+        assert_eq!(
+            s.estimate_seeded(1, 100, 0.05, 1).estimate,
+            Rational::zero()
+        );
     }
 
     #[test]
@@ -667,8 +624,7 @@ mod tests {
         assert_eq!(kl.union_bound(), &Rational::from_ints(1, 4));
         // With a single live term the canonical indicator always fires:
         // the estimate is exactly the union bound, from any seed.
-        let mut rng = StdRng::seed_from_u64(7);
-        let e = kl.estimate(&mut rng, 64, 0.05);
+        let e = seeded(&kl, 7, 64, 0.05);
         assert_eq!(e.hits, 64);
         assert_eq!(e.estimate, Rational::from_ints(1, 4));
     }
@@ -680,8 +636,7 @@ mod tests {
         w.insert(Var(1), Rational::zero());
         let kl = KarpLuby::new(&d, &w);
         assert!(kl.is_exact());
-        let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(kl.estimate(&mut rng, 10, 0.05).estimate, Rational::zero());
+        assert_eq!(seeded(&kl, 3, 10, 0.05).estimate, Rational::zero());
     }
 
     #[test]
@@ -689,8 +644,7 @@ mod tests {
         // Pr(x1∧x2) at ½: indicator is constantly 1, estimate = S = ¼.
         let d = Dnf::new([cl(&[1, 2])]);
         let kl = KarpLuby::new(&d, &half());
-        let mut rng = StdRng::seed_from_u64(11);
-        let e = kl.estimate(&mut rng, 32, 0.05);
+        let e = seeded(&kl, 11, 32, 0.05);
         assert_eq!(e.estimate, Rational::from_ints(1, 4));
         assert!(e.ci.contains(&Rational::from_ints(1, 4)));
     }
@@ -699,10 +653,7 @@ mod tests {
     fn same_seed_same_estimate() {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[1, 3])]);
         let s = CnfSampler::new(&f, &half());
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            s.estimate(&mut rng, 500, 0.05)
-        };
+        let run = |seed: u64| s.estimate_seeded(seed, 500, 0.05, 1);
         assert_eq!(run(99), run(99));
         // …and a different seed (almost surely) moves the hit count.
         assert_ne!(run(99).hits, run(100).hits);
@@ -719,8 +670,7 @@ mod tests {
         for (i, f) in formulas.iter().enumerate() {
             let truth = wmc_brute_force(f, &half());
             let s = CnfSampler::new(f, &half());
-            let mut rng = StdRng::seed_from_u64(0xC0FFEE + i as u64);
-            let e = s.estimate(&mut rng, 2_000, 0.05);
+            let e = s.estimate_seeded(0xC0FFEE + i as u64, 2_000, 0.05, 1);
             assert!(e.ci.contains(&truth), "{f:?}: {e:?} vs {truth}");
             assert!(!e.exact);
             assert_eq!(e.samples, 2_000);
@@ -738,8 +688,7 @@ mod tests {
         w.insert(Var(3), Rational::from_ints(2, 7));
         let s = CnfSampler::new(&f, &w);
         assert_eq!(s.term_count(), 1);
-        let mut rng = StdRng::seed_from_u64(5);
-        let e = s.estimate(&mut rng, 64, 0.05);
+        let e = s.estimate_seeded(5, 64, 0.05, 1);
         assert_eq!(e.estimate, Rational::from_ints(2, 7));
     }
 
@@ -753,9 +702,9 @@ mod tests {
         let kl = KarpLuby::new(&d, &half());
         let off = SAMPLE_CHUNK + SAMPLE_CHUNK / 2 + 7;
         assert!(!off.is_multiple_of(SAMPLE_CHUNK));
-        assert_eq!(kl.hits_in_range(9, off, off, 1), 0);
-        assert_eq!(kl.hits_in_range(9, off, off, 4), 0);
-        assert_eq!(kl.hits_in_range(9, 0, 0, 1), 0);
+        assert_eq!(hits(&kl, 9, off, off, 1), 0);
+        assert_eq!(hits(&kl, 9, off, off, 4), 0);
+        assert_eq!(hits(&kl, 9, 0, 0, 1), 0);
     }
 
     #[test]
@@ -763,7 +712,7 @@ mod tests {
     fn nonempty_unaligned_range_still_panics() {
         let d = Dnf::new([cl(&[1])]);
         let kl = KarpLuby::new(&d, &half());
-        kl.hits_in_range(9, 7, 100, 1);
+        hits(&kl, 9, 7, 100, 1);
     }
 
     #[test]
@@ -787,7 +736,7 @@ mod tests {
                 .expect_err("δ out of (0,1) must panic");
             let msg = err.downcast_ref::<String>().expect("panic message");
             assert!(msg.contains("delta"), "{msg}");
-            let err = catch_unwind(AssertUnwindSafe(|| kl.estimate_seeded(1, 64, delta, 1)))
+            let err = catch_unwind(AssertUnwindSafe(|| seeded(&kl, 1, 64, delta)))
                 .expect_err("δ out of (0,1) must panic in estimate_seeded");
             let msg = err.downcast_ref::<String>().expect("panic message");
             assert!(msg.contains("delta"), "{msg}");

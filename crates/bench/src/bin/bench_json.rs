@@ -603,8 +603,7 @@ fn main() {
         record(
             &format!("approx_sampler_unsafe_5x5_{samples}s"),
             time_median(reps, || {
-                let mut rng = StdRng::seed_from_u64(7);
-                std::hint::black_box(sampler.estimate(&mut rng, samples, 0.05));
+                std::hint::black_box(sampler.estimate_seeded(7, samples, 0.05, 1));
             }),
             Some(samples),
             None,

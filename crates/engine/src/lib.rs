@@ -63,11 +63,12 @@ pub use session::{
 pub use gfomc_obs::{HistogramSnapshot, Registry, SlowLog, Trace};
 
 use gfomc_arith::Rational;
-use gfomc_logic::{Circuit, Cnf, CnfId, CnfInterner, EvalArena, FlatCircuit, WeightsFromFn};
+use gfomc_logic::{Circuit, Cnf, EvalArena, FlatCircuit, WeightsFromFn};
 use gfomc_obs::{Counter, Histogram};
 use gfomc_pool::WorkerPool;
 use gfomc_query::BipartiteQuery;
 use gfomc_tid::{lineage, Lineage, Tid, Tuple, VarTable};
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -140,14 +141,12 @@ struct CacheEntry {
     cost: u64,
 }
 
-/// One independently locked shard of the compilation cache: its slice of
-/// the interner plus its resident circuits. Lineages are assigned to
-/// shards by the hash of their canonical CNF, so the interner invariant
-/// (an id is live iff its circuit is resident) is local to the shard.
+/// One independently locked shard of the compilation cache: its resident
+/// circuits keyed by canonical CNF. Lineages are assigned to shards by
+/// the hash of their canonical CNF.
 #[derive(Debug)]
 struct CacheShard {
-    interner: CnfInterner,
-    entries: HashMap<CnfId, CacheEntry>,
+    entries: HashMap<Arc<Cnf>, CacheEntry>,
     capacity: usize,
 }
 
@@ -160,7 +159,7 @@ struct CacheShard {
 ///
 /// Each [`Engine::compile`] call produces a self-contained [`Compiled`]
 /// artifact. Circuits are cached in a **sharded, cost-aware LRU** keyed on
-/// interned canonical CNF ids ([`gfomc_logic::CnfInterner`]): two queries
+/// the canonical CNF of the lineage: two queries
 /// (or the same query over two TIDs) whose groundings canonicalize to the
 /// same lineage share one compilation — the second [`Engine::compile`] is
 /// a cache hit that only re-binds the tuple ↔ variable table. Cached
@@ -287,7 +286,7 @@ impl EngineBuilder {
     }
 
     /// A dedicated worker pool for the engine's parallel paths (sampling
-    /// rounds, batched evaluation, [`Engine::evaluate_auto_batch`]).
+    /// rounds and [`Engine::evaluate_auto_batch`]).
     /// Defaults to the process-shared [`WorkerPool::global`].
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = Some(pool);
@@ -347,7 +346,6 @@ impl EngineBuilder {
         let shards = (0..shard_count)
             .map(|i| {
                 Mutex::new(CacheShard {
-                    interner: CnfInterner::new(),
                     entries: HashMap::new(),
                     capacity: capacity / shard_count + usize::from(i < capacity % shard_count),
                 })
@@ -465,16 +463,15 @@ impl Engine {
     /// pathological lineage) unwinds while the shard is held, and letting
     /// that poison wedge every later query hashing to the shard would turn
     /// one bad query into a persistent denial of service for a shared
-    /// serving engine. Recovery is safe: the worst a mid-update unwind
-    /// leaves behind is an interned id with no resident entry, which the
-    /// next compile of that lineage simply fills in.
+    /// serving engine. Recovery is safe: `Circuit::compile` runs before
+    /// the shard is touched, so an unwind leaves the shard as it was.
     fn lock_shard(shard: &Mutex<CacheShard>) -> std::sync::MutexGuard<'_, CacheShard> {
         shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The cache-aware compilation core: interns the canonical CNF in its
+    /// The cache-aware compilation core: looks the canonical CNF up in its
     /// shard and either returns the resident circuit or compiles, admits,
     /// and possibly evicts under the cost-aware policy. The flag is `true`
     /// iff the circuit was already resident (a cache hit).
@@ -484,9 +481,8 @@ impl Engine {
             return (self.compile_fresh(cnf), false);
         }
         let mut shard = Engine::lock_shard(self.shard_of(cnf));
-        let id = shard.interner.intern(cnf);
         let stamp = self.cache_stamp.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(entry) = shard.entries.get_mut(&id) {
+        if let Some(entry) = shard.entries.get_mut(cnf) {
             entry.priority = stamp.saturating_add(entry.cost);
             self.cache_hits.inc();
             return (Arc::clone(&entry.circuit), true);
@@ -498,8 +494,9 @@ impl Engine {
         // hashes share a shard.
         let circuit = self.compile_fresh(cnf);
         let cost = circuit.gate_count() as u64;
+        let key = Arc::new(cnf.clone());
         shard.entries.insert(
-            id,
+            Arc::clone(&key),
             CacheEntry {
                 circuit: Arc::clone(&circuit),
                 priority: stamp.saturating_add(cost),
@@ -509,7 +506,7 @@ impl Engine {
         if shard.entries.len() > shard.capacity {
             // Cost-aware eviction: linear scan for the minimum priority
             // (the cache is small and eviction is rare next to compile
-            // work). The interner forgets the victim too, so engine
+            // work). Removing the entry drops its key too, so engine
             // memory stays bounded by the cache capacity, not by every
             // distinct lineage ever seen. When the newcomer itself is the
             // minimum — its compile cost does not justify displacing any
@@ -518,11 +515,10 @@ impl Engine {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.priority)
-                .map(|(id, _)| *id)
+                .map(|(k, _)| Arc::clone(k))
                 .expect("eviction scan over a non-empty shard");
             shard.entries.remove(&victim);
-            shard.interner.forget(victim);
-            if victim == id {
+            if Arc::ptr_eq(&victim, &key) {
                 self.cache_rejections.inc();
             } else {
                 self.cache_evictions.inc();
@@ -691,15 +687,20 @@ pub struct Compiled {
     pub(crate) vars: VarTable,
 }
 
+thread_local! {
+    /// Per-thread values arena for the database-weight evaluations of
+    /// [`Compiled`]: repeated queries on one serving thread reuse a single
+    /// buffer, and threads never contend for it.
+    static DB_ARENA: RefCell<EvalArena> = RefCell::new(EvalArena::new());
+}
+
 impl Compiled {
     /// Evaluates the circuit under the database's own tuple probabilities.
     pub fn evaluate_db(&self) -> Rational {
-        self.circuit.eval_exact(self.vars.weights())
-    }
-
-    /// [`Compiled::evaluate_db`] with a caller-provided values arena.
-    pub fn evaluate_db_with(&self, arena: &mut EvalArena) -> Rational {
-        self.circuit.eval_exact_with(self.vars.weights(), arena)
+        DB_ARENA.with(|arena| {
+            self.circuit
+                .eval_exact_with(self.vars.weights(), &mut arena.borrow_mut())
+        })
     }
 
     /// Decides `Pr ≤ t` under the database weights: interval fast path
@@ -708,8 +709,10 @@ impl Compiled {
     /// fell_back_to_exact)`; the answer always agrees with comparing
     /// [`Compiled::evaluate_db`] against `t` exactly.
     pub fn certify_le_db(&self, t: &Rational) -> (bool, bool) {
-        let mut arena = EvalArena::new();
-        self.circuit.le_exact(self.vars.weights(), t, &mut arena)
+        DB_ARENA.with(|arena| {
+            self.circuit
+                .le_exact(self.vars.weights(), t, &mut arena.borrow_mut())
+        })
     }
 
     /// Evaluates the circuit under `weights`: each uncertain tuple takes
@@ -744,22 +747,6 @@ impl Compiled {
                 .cloned()
                 .unwrap_or_else(|| self.vars.weights()[&v].clone())
         })
-    }
-
-    /// [`Compiled::evaluate_batch`] fanned across `threads` workers of the
-    /// process-wide shared [`WorkerPool`] over the shared immutable
-    /// circuit ([`FlatCircuit::evaluate_batch_on`]).
-    ///
-    /// Evaluation is exact rational arithmetic, so the output is
-    /// **identical** to the serial batch for every thread count.
-    pub fn evaluate_batch_threads(
-        &self,
-        weights: &[TupleWeights],
-        threads: usize,
-    ) -> Vec<Rational> {
-        let resolved: Vec<_> = weights.iter().map(|w| self.weight_fn(w)).collect();
-        self.circuit
-            .evaluate_batch_on(WorkerPool::global(), &resolved, threads)
     }
 
     /// The uncertain tuples of the compiled lineage — the tuples whose

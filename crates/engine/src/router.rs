@@ -33,23 +33,13 @@
 use crate::Engine;
 use gfomc_approx::{AdaptiveConfig, CnfSampler, ConfidenceInterval, Estimate};
 use gfomc_arith::Rational;
-use gfomc_logic::EvalArena;
 use gfomc_obs::Trace;
 use gfomc_query::BipartiteQuery;
 use gfomc_safety::{circuit_cost_estimate, is_safe, lifted_probability, CircuitCostEstimate};
 use gfomc_tid::{lineage, Tid};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-thread_local! {
-    /// Per-thread evaluation arena for the compiled route: repeated
-    /// queries on one serving thread reuse a single values buffer, and
-    /// threads never contend for it (the engine itself stays lock-free on
-    /// this path).
-    static ROUTE_ARENA: RefCell<EvalArena> = RefCell::new(EvalArena::new());
-}
 
 /// A [`Budget`] parameter rejected at construction — the typed form of
 /// what used to be a panic deep inside the sampler.
@@ -111,7 +101,7 @@ pub enum SampleMode {
     /// Draw in geometrically growing rounds and stop as soon as the
     /// outward-rounded CI half-width is at most `epsilon`, hard-capped at
     /// the fixed Karp–Luby–Madras budget
-    /// [`gfomc_approx::KarpLuby::fpras_samples`]`(epsilon, δ)` — never
+    /// [`gfomc_approx::CnfSampler::fpras_samples`]`(epsilon, δ)` — never
     /// more samples than the fixed path, usually far fewer.
     Adaptive {
         /// Absolute accuracy target for the early exit.
@@ -479,13 +469,7 @@ impl Engine {
                     };
                     (verdict, fell_back)
                 }
-                None => (
-                    AutoResult::Exact(
-                        ROUTE_ARENA
-                            .with(|arena| compiled.evaluate_db_with(&mut arena.borrow_mut())),
-                    ),
-                    false,
-                ),
+                None => (AutoResult::Exact(compiled.evaluate_db()), false),
             };
             span(tr, "evaluate");
             self.interval_fallbacks.add(u64::from(fell_back));

@@ -1,5 +1,5 @@
 //! Property suite for the engine's compilation cache, the tightened cost
-//! bound's routing effect, and the parallel batch evaluator.
+//! bound's routing effect, and the batch evaluator.
 //!
 //! The contracts under test:
 //!
@@ -10,8 +10,8 @@
 //!   unsafe-but-structured lineages to the exact compiled path where the
 //!   old monolithic `2^vars` bound forced them to the sampler, and the
 //!   compiled answer matches the naive oracle exactly;
-//! * **parallel batches** — `evaluate_batch_threads` is identical to the
-//!   serial batch for every thread count;
+//! * **batches** — `Compiled::evaluate_batch` is identical to a serial
+//!   loop of `Compiled::evaluate`;
 //! * **adaptive routing** — the router's default adaptive mode never draws
 //!   more samples than the fixed mode's budget.
 
@@ -61,10 +61,8 @@ proptest! {
         let tid = random_block_tid(&mut rng, &q, 2, 2);
         let compiled = Engine::new().compile(&q, &tid);
         let ws = gfomc_engine::workload::random_weightings(&mut rng, &compiled.tuples(), k);
-        let serial = compiled.evaluate_batch(&ws);
-        for threads in [2usize, 4] {
-            prop_assert_eq!(&serial, &compiled.evaluate_batch_threads(&ws, threads));
-        }
+        let serial: Vec<_> = ws.iter().map(|w| compiled.evaluate(w)).collect();
+        prop_assert_eq!(serial, compiled.evaluate_batch(&ws));
     }
 
     #[test]

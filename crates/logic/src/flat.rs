@@ -37,9 +37,6 @@ use crate::circuit::Valuation;
 use crate::cnf::Var;
 use crate::wmc::WeightFn;
 use gfomc_arith::{Certifies, Interval, Rat64, Rational};
-use gfomc_pool::WorkerPool;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Cap on `gates × lanes` cells held live by one forward pass; batches
 /// wider than `MAX_BATCH_CELLS / gate_count` lanes are priced in
@@ -518,56 +515,6 @@ impl FlatCircuit {
         self.eval_batch_exact_with(weights, &mut EvalArena::new())
     }
 
-    /// [`FlatCircuit::evaluate_batch`] fanned across `workers` logical
-    /// workers of a [`WorkerPool`]. Workers claim **lane chunks** (not
-    /// single weightings) from a shared cursor and price each chunk with
-    /// the forward pass, each through a worker-local arena; exact rational
-    /// arithmetic makes the output identical to the serial batch for every
-    /// worker count.
-    pub fn evaluate_batch_on<W: WeightFn + Sync>(
-        &self,
-        pool: &WorkerPool,
-        weights: &[W],
-        workers: usize,
-    ) -> Vec<Rational> {
-        let workers = workers.max(1).min(weights.len().max(1));
-        if workers == 1 {
-            return self.evaluate_batch(weights);
-        }
-        // Chunks small enough that every worker gets some, large enough to
-        // amortize the per-chunk gate walk.
-        let chunk = self
-            .batch_chunk_lanes()
-            .min(weights.len().div_ceil(workers))
-            .max(1);
-        let nchunks = weights.len().div_ceil(chunk);
-        let cursor = AtomicUsize::new(0);
-        let mut out: Vec<Option<Rational>> = vec![None; weights.len()];
-        let slots = Mutex::new(&mut out);
-        pool.broadcast(workers, |_| {
-            let mut arena = EvalArena::new();
-            let mut local: Vec<(usize, Vec<Rational>)> = Vec::new();
-            loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= nchunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(weights.len());
-                local.push((lo, self.eval_batch_exact_with(&weights[lo..hi], &mut arena)));
-            }
-            let mut slots = slots.lock().expect("batch output lock");
-            for (lo, values) in local {
-                for (i, value) in values.into_iter().enumerate() {
-                    slots[lo + i] = Some(value);
-                }
-            }
-        });
-        out.into_iter()
-            .map(|v| v.expect("every batch index evaluated"))
-            .collect()
-    }
-
     /// Builds the parent index of the circuit: for every gate, the gates
     /// that consume it, in the same packed CSR layout as `children` (one
     /// counting pass, one prefix sum, one scatter — no per-gate
@@ -806,11 +753,8 @@ mod tests {
         let f = Cnf::new([cl(&[1, 2]), cl(&[2, 3]), cl(&[3, 4]), cl(&[1, 4])]);
         let flat = Circuit::compile(&f).flatten();
         let weights: Vec<UniformWeight> = (0..=8).map(|k| UniformWeight(r(k, 8))).collect();
-        let serial = flat.evaluate_batch(&weights);
-        let pool = WorkerPool::new(2);
-        for workers in [1usize, 2, 3, 16] {
-            assert_eq!(serial, flat.evaluate_batch_on(&pool, &weights, workers));
-        }
+        let serial: Vec<Rational> = weights.iter().map(|w| flat.eval_exact(w)).collect();
+        assert_eq!(serial, flat.evaluate_batch(&weights));
     }
 
     /// FNV-1a over every gate's `(op, var_slot, kids)`, in gate order.

@@ -21,21 +21,13 @@ pub struct CnfId(pub u32);
 /// Formulas are stored behind [`Arc`] so the id → formula direction shares
 /// the allocation with the hash-map key instead of cloning twice, and so
 /// tables (and caches keyed on their ids) stay `Send` for the parallel
-/// evaluation paths.
-///
-/// Callers whose downstream cache is *bounded* (e.g. the engine's LRU of
-/// compiled circuits) can [`CnfInterner::forget`] an id when they evict
-/// its entry, releasing the retained formula and recycling the slot —
-/// otherwise the table would grow with every distinct formula ever seen,
-/// defeating the cache bound.
+/// evaluation paths. Ids are never reused: the table lives as long as the
+/// compilation or count that fills it.
 #[derive(Clone, Debug, Default)]
 pub struct CnfInterner {
     ids: HashMap<Arc<Cnf>, CnfId>,
-    /// Id → formula; `None` marks a forgotten slot awaiting reuse.
-    formulas: Vec<Option<Arc<Cnf>>>,
-    /// Forgotten slots available for recycling, so the table's footprint
-    /// is bounded by the number of *live* formulas.
-    free: Vec<u32>,
+    /// Id → formula.
+    formulas: Vec<Arc<Cnf>>,
 }
 
 impl CnfInterner {
@@ -45,25 +37,14 @@ impl CnfInterner {
     }
 
     /// Interns `f`, returning its id. Hashes `f` exactly once; clones it
-    /// only the first time it is seen. A previously forgotten slot may be
-    /// recycled, so a formula interned after a [`CnfInterner::forget`]
-    /// can receive a numerically reused id.
+    /// only the first time it is seen.
     pub fn intern(&mut self, f: &Cnf) -> CnfId {
         if let Some(&id) = self.ids.get(f) {
             return id;
         }
         let shared = Arc::new(f.clone());
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.formulas[slot as usize] = Some(Arc::clone(&shared));
-                CnfId(slot)
-            }
-            None => {
-                let id = CnfId(self.formulas.len() as u32);
-                self.formulas.push(Some(Arc::clone(&shared)));
-                id
-            }
-        };
+        let id = CnfId(self.formulas.len() as u32);
+        self.formulas.push(Arc::clone(&shared));
         self.ids.insert(shared, id);
         id
     }
@@ -73,34 +54,17 @@ impl CnfInterner {
         self.ids.get(f).copied()
     }
 
-    /// The formula behind an id. Panics if the id was forgotten.
+    /// The formula behind an id.
     pub fn resolve(&self, id: CnfId) -> &Cnf {
-        self.formulas[id.0 as usize]
-            .as_deref()
-            .expect("resolve of a forgotten CnfId")
+        &self.formulas[id.0 as usize]
     }
 
-    /// Releases the formula behind `id` and recycles the slot: a later
-    /// [`CnfInterner::intern`] may hand the same numeric id to a
-    /// *different* formula. Callers must therefore purge any external
-    /// state keyed by `id` **before** forgetting it, and must forget each
-    /// id at most once — a stale second `forget` would release whatever
-    /// formula has since been recycled into the slot. (The engine's
-    /// circuit cache removes its entry and forgets in one step, so both
-    /// conditions hold there.) No-op while the slot is still empty.
-    pub fn forget(&mut self, id: CnfId) {
-        if let Some(formula) = self.formulas[id.0 as usize].take() {
-            self.ids.remove(&formula);
-            self.free.push(id.0);
-        }
-    }
-
-    /// Number of live (not forgotten) interned formulas.
+    /// Number of interned formulas.
     pub fn len(&self) -> usize {
-        self.formulas.len() - self.free.len()
+        self.formulas.len()
     }
 
-    /// True iff nothing live is interned.
+    /// True iff nothing is interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -142,41 +106,6 @@ mod tests {
         assert_eq!(it.resolve(id), &f);
         assert_eq!(it.lookup(&f), Some(id));
         assert_eq!(it.lookup(&Cnf::top()), None);
-    }
-
-    #[test]
-    fn forget_releases_and_recycles() {
-        let mut it = CnfInterner::new();
-        let f = Cnf::new([cl(&[1, 2])]);
-        let g = Cnf::new([cl(&[3])]);
-        let h = Cnf::new([cl(&[4, 5])]);
-        let fid = it.intern(&f);
-        let gid = it.intern(&g);
-        it.forget(fid);
-        assert_eq!(it.len(), 1);
-        assert_eq!(it.lookup(&f), None);
-        // g is untouched; a new formula recycles f's slot, so the table
-        // footprint stays bounded by the live count.
-        assert_eq!(it.resolve(gid), &g);
-        let hid = it.intern(&h);
-        assert_eq!(hid, fid, "freed slot must be recycled");
-        assert_eq!(it.resolve(hid), &h);
-        assert_eq!(it.len(), 2);
-        // Re-interning the forgotten formula allocates a new slot.
-        let fid2 = it.intern(&f);
-        assert_ne!(fid2, hid);
-        assert_eq!(it.len(), 3);
-    }
-
-    #[test]
-    fn forget_on_an_empty_slot_is_a_noop() {
-        let mut it = CnfInterner::new();
-        let f = Cnf::new([cl(&[1])]);
-        let fid = it.intern(&f);
-        it.forget(fid);
-        it.forget(fid); // slot still empty: nothing to release
-        assert_eq!(it.len(), 0);
-        assert!(it.is_empty());
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use gfomc_tid as tid;
 /// The commonly-used names, for `use gfomc::prelude::*`.
 pub mod prelude {
     pub use gfomc_approx::{
-        AdaptiveConfig, AdaptiveEstimate, CnfSampler, ConfidenceInterval, Estimate, KarpLuby,
+        AdaptiveConfig, AdaptiveEstimate, CnfSampler, ConfidenceInterval, Estimate,
     };
     pub use gfomc_arith::{Integer, Natural, QuadExt, Rational};
     pub use gfomc_core::zigzag::{zg_database, zg_query, ZigzagQuery};
